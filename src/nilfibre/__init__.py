@@ -12,7 +12,6 @@ from .core import (
     boxes_below_band,
     build_diagram,
     diagram_of,
-    generator_count,
     neighbouring_pairs,
     true_degree,
 )

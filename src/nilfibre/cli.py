@@ -134,6 +134,21 @@ def cmd_sweep(args) -> int:
     return EXIT_PASS
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _thread_count(text: str) -> int:
+    """A positive worker count, clamped to the available CPUs."""
+    return min(_positive_int(text), os.cpu_count() or 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nilfibre",
@@ -144,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output file (default stdout)")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=_thread_count, default=1, help="worker processes, at most the CPU count")
     common.add_argument(
         "--symbolic-max-n",
         type=int,
@@ -163,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     swp = sub.add_parser("sweep", parents=[common], help="verify every composition up to a bound")
-    swp.add_argument("--n", type=int, required=True)
+    swp.add_argument("--n", type=_positive_int, required=True)
     swp.add_argument("--checks", default="all")
     swp.set_defaults(func=cmd_sweep)
     return parser

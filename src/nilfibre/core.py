@@ -189,11 +189,6 @@ def neighbouring_pairs(diagram: Diagram) -> tuple[NeighbouringPair, ...]:
     return tuple(sorted(pairs, key=lambda p: (p.height, p.left)))
 
 
-def generator_count(diagram: Diagram) -> int:
-    """Number of semi-invariant generators; one per neighbouring pair."""
-    return len(neighbouring_pairs(diagram))
-
-
 def surrounding_pair(
     diagram: Diagram, height: int, adjacent_left: int
 ) -> NeighbouringPair | None:

@@ -4,15 +4,21 @@ monomial-chain cross-engine, vanishing and section restrictions.
 For a neighbouring pair of height s the generator is read off the
 (n'-s) x (n'-s) lower-left minor of the interval's matrix model, evaluated on
 the nilradical plus the parameter on the diagonal of every Levi block larger
-than s.  The coefficient of the parameter's minimal power (one per box below
-the height-s band) is the generator; its monomials are exactly the products
-of s disjoint strictly-left-to-right entry chains joining the two columns.
+than s.  The coefficient of the parameter's minimal power a^d (one per box
+below the height-s band) is the generator; its monomials are exactly the
+products of s disjoint strictly-left-to-right entry chains joining the two
+columns.
+
+Extraction expands the minor only up to a^d, with each term held as a
+parameter power and a bitmask of variables.  ``symbolic_minor`` is the full
+expansion over ``Poly``, kept as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,7 +61,8 @@ def _minor_entry(diagram: Diagram, row_entry: int, col_entry: int, s: int, full_
 
 
 def symbolic_minor(diagram: Diagram, pair: NeighbouringPair, full_identity: bool = False) -> Poly:
-    """Exact expansion of the lower-left minor of the pair's interval.
+    """Exact expansion of the lower-left minor of the pair's interval, every
+    parameter power included: the reference for the truncated extraction.
 
     Entries outside the interval never occur and are suppressed up front.
     ``full_identity`` also puts the parameter on blocks of height <= s; the
@@ -118,22 +125,106 @@ class InvariantRecord:
         }
 
 
+def _below_valuation(pair: NeighbouringPair, d: int) -> InternalConsistencyError:
+    return InternalConsistencyError(f"raw minor of {pair} has a nonzero coefficient below valuation {d}")
+
+
+def _not_multilinear(pair: NeighbouringPair, degree: int) -> InternalConsistencyError:
+    return InternalConsistencyError(f"invariant of {pair} is not multilinear of degree {degree}")
+
+
+def _truncated_minor(diagram: Diagram, pair: NeighbouringPair, d: int, degree: int) -> Poly:
+    """Coefficient of ``a^d`` in the lower-left minor, expanded only up to
+    that parameter power.
+
+    Every variable occupies exactly one cell, so a term is a parameter power
+    and a bitmask of variables, bits in sorted position order; each term is
+    multilinear by construction and its degree is its popcount.  Powers never
+    decrease along the Laplace expansion, so partial terms beyond ``d`` are
+    dropped.  Raises when a power below ``d`` survives or a term is not of
+    the given degree.
+    """
+    entries, n_prime, s = _minor_shape(diagram, pair)
+    size = n_prime - s
+    rows, cols = entries[s:], entries[:size]
+    contents = [[_minor_entry(diagram, r, c, s, False) for c in cols] for r in rows]
+    positions = sorted(cell for line in contents for cell in line if cell not in (None, "a"))
+    bit_of = {pos: 1 << k for k, pos in enumerate(positions)}
+    # Per row: (column, parameter power, variable bit) of each live cell.
+    row_cells = [
+        [(q, 1, 0) if cell == "a" else (q, 0, bit_of[cell]) for q, cell in enumerate(line) if cell is not None]
+        for line in contents
+    ]
+
+    full = (1 << size) - 1
+    memo: dict[int, dict[tuple[int, int], int]] = {full: {(0, 0): 1}}
+
+    def det(used: int) -> dict[tuple[int, int], int]:
+        if used in memo:
+            return memo[used]
+        total: dict[tuple[int, int], int] = {}
+        for q, a_pow, bit in row_cells[used.bit_count()]:
+            col = 1 << q
+            if used & col:
+                continue
+            sub = det(used | col)
+            # The column's place among those still available fixes the sign.
+            sign = -1 if (q - (used & (col - 1)).bit_count()) & 1 else 1
+            for (power, mask), coeff in sub.items():
+                power += a_pow
+                if power > d:
+                    continue
+                key = (power, mask | bit)
+                total[key] = total.get(key, 0) + sign * coeff
+        memo[used] = total
+        return total
+
+    # Each half of a mask is peeled into sorted positions once and reused.
+    low_half = (1 << (len(positions) // 2)) - 1
+    halves: dict[int, tuple] = {}
+
+    def peel(piece: int) -> tuple:
+        if piece not in halves:
+            out = []
+            rest = piece
+            while rest:
+                low = rest & -rest
+                out.append((positions[low.bit_length() - 1], 1))
+                rest ^= low
+            halves[piece] = tuple(out)
+        return halves[piece]
+
+    leading = {}
+    for (power, mask), coeff in det(0).items():
+        if not coeff:
+            continue
+        if power < d:
+            raise _below_valuation(pair, d)
+        if mask.bit_count() != degree:
+            raise _not_multilinear(pair, degree)
+        low = mask & low_half
+        leading[(0, peel(low) + peel(mask ^ low))] = coeff
+    return Poly(leading)
+
+
 def extract_invariant(diagram: Diagram, pair: NeighbouringPair, minor: Poly | None = None) -> InvariantRecord:
-    """Sign-normalized coefficient of the minimal parameter power."""
-    if minor is None:
-        minor = symbolic_minor(diagram, pair)
+    """Sign-normalized coefficient of the minimal parameter power.
+
+    Without ``minor`` the expansion is truncated at that power; a given
+    ``minor``, the full ``symbolic_minor``, is read and checked instead."""
     d = boxes_below_band(diagram, pair)
     degree = true_degree(diagram, pair)
-    for lower in range(d):
-        if not minor.a_coefficient(lower).is_zero():
-            raise InternalConsistencyError(
-                f"raw minor of {pair} has a nonzero coefficient below valuation {d}"
-            )
-    inv = minor.a_coefficient(d).sign_normalized()
+    if minor is None:
+        leading = _truncated_minor(diagram, pair, d, degree)
+    else:
+        if any(not minor.a_coefficient(lower).is_zero() for lower in range(d)):
+            raise _below_valuation(pair, d)
+        leading = minor.a_coefficient(d)
+    inv = leading.sign_normalized()
     if inv.is_zero():
         raise InternalConsistencyError(f"extracted invariant of {pair} is zero")
-    if not inv.is_multilinear() or inv.total_degrees() != {degree}:
-        raise InternalConsistencyError(f"invariant of {pair} is not multilinear of degree {degree}")
+    if minor is not None and (not inv.is_multilinear() or inv.total_degrees() != {degree}):
+        raise _not_multilinear(pair, degree)
     return InvariantRecord(pair, d, degree, inv)
 
 
@@ -154,16 +245,30 @@ def invariant_for(parts: tuple[int, ...], pair: NeighbouringPair) -> InvariantRe
             "-".join(map(str, parts)), pair.left, pair.right
         )
         path = os.path.join(cache, name)
-        if os.path.exists(path):
+        try:
             with open(path) as handle:
                 data = json.load(handle)
             return InvariantRecord(pair, data["d_D"], data["degree"], Poly.from_json(data["polynomial"]))
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
+            pass  # a miss; a corrupt entry is rewritten below
     record = extract_invariant(diagram, pair)
     if path:
         os.makedirs(cache, exist_ok=True)
-        with open(path, "w") as handle:
-            json.dump(record.to_json(), handle)
+        _write_atomically(path, record.to_json())
     return record
+
+
+def _write_atomically(path: str, payload) -> None:
+    """Write JSON to a temporary file beside ``path`` and rename it into
+    place, so concurrent readers never see a half-written entry."""
+    fd, temp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            json.dump(payload, handle)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def chain_support(diagram: Diagram, pair: NeighbouringPair) -> frozenset[frozenset[Pos]]:

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilfibre.builder import component_tableaux
+from nilfibre.conformance import compositions_of
 from nilfibre.core import (
+    InternalConsistencyError,
     InvalidInput,
     boxes_below_band,
     diagram_of,
@@ -275,3 +277,39 @@ def test_max_height_fast_path(small_compositions):
                 assert verdict is True and symbolic is True, (parts, pair)
                 checked += 1
     assert checked > 50
+
+
+def full_span_pair(parts):
+    (pair,) = [p for p in neighbouring_pairs(diagram_of(parts)) if p.left == 0 and p.right == len(parts) - 1]
+    return pair
+
+
+def test_truncated_extraction_matches_full_expansion():
+    # the production route expands only up to the valuation power; the full
+    # symbolic minor is the oracle
+    cases = [
+        (parts, pair)
+        for n in range(1, 10)
+        for parts in compositions_of(n)
+        for pair in neighbouring_pairs(diagram_of(parts))
+    ]
+    cases += [(parts, full_span_pair(parts)) for parts in ((5, 3, 5), (4, 1, 2, 2, 4))]
+    for parts, pair in cases:
+        d = diagram_of(parts)
+        fast = extract_invariant(d, pair)
+        oracle = extract_invariant(d, pair, symbolic_minor(d, pair))
+        assert fast == oracle, (parts, pair)
+        assert set(fast.polynomial.terms.values()) <= {1, -1}, (parts, pair)
+        assert fast.polynomial.monomial_support() == chain_support(d, pair), (parts, pair)
+    assert len(cases) > 1000
+
+
+def test_truncated_extraction_keeps_the_valuation_guard(monkeypatch):
+    from nilfibre import invariants
+
+    parts = (1, 2, 1)
+    d = diagram_of(parts)
+    pair = the_pair(parts, 1)
+    monkeypatch.setattr(invariants, "boxes_below_band", lambda diagram, pair: boxes_below_band(diagram, pair) + 1)
+    with pytest.raises(InternalConsistencyError, match="below valuation"):
+        extract_invariant(d, pair)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from nilfibre.builder import component_tableaux
-from nilfibre.cli import main
+from nilfibre.cli import build_parser, main
 from nilfibre.render import render_component, render_matrix
 from nilfibre.roots import excluded_roots
 
@@ -113,6 +113,31 @@ def test_usage_errors():
     assert main(["bogus-subcommand"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--n", "0"],
+        ["sweep", "--n", "-2"],
+        ["sweep", "--n", "three"],
+        ["sweep", "--n", "3", "--threads", "0"],
+        ["sweep", "--n", "3", "--threads", "-4"],
+        ["verify", "--composition", "2,1", "--threads", "0"],
+    ],
+)
+def test_bad_bounds_are_usage_errors(argv):
+    # rejected while parsing, before any work or worker pool starts
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert main(argv) == 1
+
+
+@pytest.mark.parametrize("cpus, requested, expected", [(2, 64, 2), (2, 2, 2), (4, 1, 1), (None, 8, 1)])
+def test_threads_clamped_to_cpu_count(monkeypatch, cpus, requested, expected):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    args = build_parser().parse_args(["sweep", "--n", "3", "--threads", str(requested)])
+    assert args.threads == expected
+
+
 def test_reports_byte_identical(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -167,11 +192,51 @@ def test_invariant_disk_cache(tmp_path, monkeypatch):
     invariants.invariant_for.cache_clear()
 
 
+@pytest.mark.parametrize("content", ["", "{not json", "{}", "[]"])
+def test_invariant_disk_cache_rewrites_corrupt_entries(tmp_path, monkeypatch, content):
+    from nilfibre import invariants
+    from nilfibre.core import neighbouring_pairs
+
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("COMPONENT_TABLEAUX_CACHE", str(cache))
+    invariants.invariant_for.cache_clear()
+    parts = (2, 1, 1, 2)
+    pair = neighbouring_pairs(component_tableaux(parts)[0].diagram)[0]
+    expected = invariants.invariant_for(parts, pair)
+    (entry,) = cache.iterdir()
+    entry.write_text(content)
+    invariants.invariant_for.cache_clear()
+    again = invariants.invariant_for(parts, pair)
+    invariants.invariant_for.cache_clear()
+    assert again == expected
+    assert json.loads(entry.read_text()) == expected.to_json()
+
+
+def test_interrupted_cache_write_leaves_the_old_entry(tmp_path):
+    from nilfibre.invariants import _write_atomically
+
+    path = tmp_path / "entry.json"
+    path.write_text('{"old": true}')
+    with pytest.raises(TypeError):
+        _write_atomically(str(path), {"new": True, "unserializable": object()})
+    assert path.read_text() == '{"old": true}'
+    assert list(tmp_path.iterdir()) == [path]
+    _write_atomically(str(path), {"new": True})
+    assert json.loads(path.read_text()) == {"new": True}
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_console_entry_point():
+    # the child imports the same nilfibre as this process, however it was found
+    import nilfibre
+
+    package_root = str(Path(nilfibre.__file__).resolve().parent.parent)
+    search = [package_root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     proc = subprocess.run(
         [sys.executable, "-m", "nilfibre.cli", "enumerate", "--composition", "1,2,1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(search)},
     )
     assert proc.returncode == 0
     assert "tableaux 1" in proc.stdout
