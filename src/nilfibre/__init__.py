@@ -40,7 +40,6 @@ from .invariants import (
     InvariantRecord,
     chain_support,
     extract_invariant,
-    max_height_structural_vanishing,
     invariant_for,
     symbolic_minor,
     vanishing_check,

@@ -11,7 +11,7 @@ from random import Random
 from .core import Diagram, InvalidInput, NeighbouringPair, Pos, neighbouring_pairs
 from .builder import ComponentTableau
 from .invariants import evaluate_at_section_point, invariant_for
-from .linalg import exact_rank, mat_mul, matrix_rank
+from .linalg import exact_rank, mat_mul
 from .roots import (
     ExcludedRootSet,
     bracket_closure_violations,
@@ -98,7 +98,7 @@ def jordan_type(matrix: list[list[int]]) -> tuple[int, ...]:
     power = matrix
     prev_rank = n  # rank of the identity
     while True:
-        rank = matrix_rank(power)
+        rank = exact_rank(power)
         blocks_at_least.append(prev_rank - rank)
         if rank == 0:
             break

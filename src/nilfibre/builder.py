@@ -9,6 +9,8 @@ by the move.  Entries that remain in row T+1 afterwards slide right, one
 column at a time, into first-empty boxes.  Each compatible set of lowering
 choices opens one branch; a branch survives only when every neighbouring
 pair has been consumed exactly once by the time the tableau stabilizes.
+Every enumeration also checks that each free pair of height s can be
+consumed by some admissible move at stage s, and raises otherwise.
 
 Lowered entries are joined by a vertical line labelled ``*`` to the bottom
 original entries of the column they enter; entries whose trail ends at a
@@ -39,15 +41,6 @@ NEUTRAL = "neutral"
 
 
 @dataclass(frozen=True)
-class Batch:
-    """Rightmost occurrences of each value in rows <= height, columns [C, C')."""
-
-    pair: NeighbouringPair
-    height: int
-    members: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Move:
     """One lowering: ``entry`` drops from (src_row, src_col) into the first
     empty box of src_col+1, consuming one neighbouring pair per descended row."""
@@ -61,7 +54,6 @@ class Move:
     rows_down: int
     consumed: tuple[tuple[int, NeighbouringPair], ...]  # (height, pair), ascending
     star_targets: tuple[int, ...]  # original entries joined by *-lines, top down
-    batches: tuple[Batch, ...]
 
 
 @dataclass(frozen=True)
@@ -179,15 +171,6 @@ class _State:
         )
 
 
-def _batch(state: _State, pair: NeighbouringPair) -> Batch:
-    members = sorted(
-        entry
-        for entry, (c, r) in state.right.items()
-        if r <= pair.height and pair.left <= c < pair.right
-    )
-    return Batch(pair, pair.height, tuple(members))
-
-
 def _candidates(diagram: Diagram, state: _State, stage: int) -> list[Move]:
     moves = []
     for src in range(diagram.k - 1):
@@ -223,7 +206,6 @@ def _candidates(diagram: Diagram, state: _State, stage: int) -> list[Move]:
                     rows_down=stage - row + 1,
                     consumed=tuple(consumed),
                     star_targets=diagram.columns[target][top - 1 : h0],
-                    batches=tuple(_batch(state, pair) for _, pair in consumed),
                 )
             )
     moves.sort(key=lambda m: (m.src_col, m.src_row))
@@ -273,11 +255,13 @@ def _translate(state: _State, stage: int) -> bool:
     return changed
 
 
-def extend_all(diagram: Diagram, validate: bool = False) -> tuple[ExtendedTableau, ...]:
+def extend_all(diagram: Diagram) -> tuple[ExtendedTableau, ...]:
     """Enumerate every limit tableau of the diagram, depth first over the
     lowering choices of each stage.  Every result consumes each neighbouring
-    pair exactly once; branches that strand a pair are discarded."""
-    all_pairs = frozenset(neighbouring_pairs(diagram))
+    pair exactly once; branches that strand a pair are discarded.  Raises
+    when a free pair has no admissible move at the stage of its height."""
+    pairs = neighbouring_pairs(diagram)
+    all_pairs = frozenset(pairs)
     max_height = diagram.max_height
     hard_cap = max_height + len(all_pairs) + 2
     results: list[ExtendedTableau] = []
@@ -291,22 +275,16 @@ def extend_all(diagram: Diagram, validate: bool = False) -> tuple[ExtendedTablea
             tuple(state.moves),
             stage,
         )
-        if validate:
-            _validate(ext)
         results.append(ext)
 
     def run(state: _State, stage: int) -> None:
         if stage > hard_cap:
             raise ConstructionViolation("stage cap exceeded; stabilization failed")
         candidates = _candidates(diagram, state, stage)
-        if validate:
-            for pair in neighbouring_pairs(diagram):
-                if pair.height == stage and pair not in state.used:
-                    usable = any(pair in {p for _, p in m.consumed} for m in candidates)
-                    if not usable:
-                        raise ConstructionViolation(
-                            f"free pair {pair} has no admissible choice at its own stage"
-                        )
+        usable = {p for m in candidates for _, p in m.consumed}
+        for pair in pairs:
+            if pair.height == stage and pair not in state.used and pair not in usable:
+                raise ConstructionViolation(f"free pair {pair} has no admissible choice at its own stage")
         for subset in _subsets(candidates):
             branch = state.clone()
             _apply(branch, subset)
@@ -318,20 +296,6 @@ def extend_all(diagram: Diagram, validate: bool = False) -> tuple[ExtendedTablea
 
     run(_State.initial(diagram), 1)
     return tuple(results)
-
-
-def _validate(ext: ExtendedTableau) -> None:
-    for move in ext.moves:
-        if move.entry not in {
-            e for b in move.batches for e in b.members
-        } and move.batches:
-            raise ConstructionViolation(f"move entry {move.entry} missing from its batches")
-    seen: set[NeighbouringPair] = set()
-    for move in ext.moves:
-        for _, pair in move.consumed:
-            if pair in seen:
-                raise ConstructionViolation(f"pair {pair} used twice")
-            seen.add(pair)
 
 
 def strings(ext: ExtendedTableau) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -402,8 +366,8 @@ def collapse(ext: ExtendedTableau, lines: tuple[DecoratedLine, ...]) -> Componen
     )
 
 
-def enumerate_component_tableaux(diagram: Diagram, validate: bool = False) -> tuple[ComponentTableau, ...]:
-    return tuple(collapse(ext, decorate(ext)) for ext in extend_all(diagram, validate=validate))
+def enumerate_component_tableaux(diagram: Diagram) -> tuple[ComponentTableau, ...]:
+    return tuple(collapse(ext, decorate(ext)) for ext in extend_all(diagram))
 
 
 @lru_cache(maxsize=None)

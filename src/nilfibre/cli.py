@@ -79,6 +79,8 @@ def _parse_checks(text: str) -> tuple[str, ...]:
     if text == "all":
         return ALL_CHECKS
     checks = tuple(piece.strip() for piece in text.split(",") if piece.strip())
+    if not checks:
+        raise InvalidInput(f"no checks given; known: {', '.join(ALL_CHECKS)}")
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
         raise InvalidInput(f"unknown checks {sorted(unknown)}; known: {', '.join(ALL_CHECKS)}")

@@ -10,7 +10,7 @@ factor and are discarded throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 Pos = tuple[int, int]
@@ -48,10 +48,6 @@ class Composition:
     def k(self) -> int:
         return len(self.parts)
 
-    def is_partition(self) -> bool:
-        """Weakly decreasing parts."""
-        return all(a >= b for a, b in zip(self.parts, self.parts[1:]))
-
     @classmethod
     def parse(cls, text: str) -> "Composition":
         """Parse a comma-separated decimal string such as "2,1,1,2"."""
@@ -74,10 +70,43 @@ class Diagram:
 
     Columns are stored 0-indexed internally; rows are 1-indexed (row 1 on
     top).  All JSON output uses entry values, never internal indices.
+
+    The entry-to-box table, the nilradical positions, the neighbouring pairs
+    and the table of the pair surrounding each adjacent column pair are
+    built once, at construction, so the diagram stays immutable; they take
+    no part in equality, hashing or repr.
     """
 
     composition: Composition
     columns: tuple[tuple[int, ...], ...]
+    _boxes: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False)
+    _nilradical: frozenset[Pos] = field(init=False, repr=False, compare=False)
+    _pairs: tuple[NeighbouringPair, ...] = field(init=False, repr=False, compare=False)
+    _surrounding: dict[tuple[int, int], NeighbouringPair] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        boxes = {
+            entry: (c, r) for c, col in enumerate(self.columns) for r, entry in enumerate(col, start=1)
+        }
+        # Entries grow left to right, so each entry precedes every later column's.
+        cols = self.columns
+        nilradical = frozenset(
+            (i, j) for c, left in enumerate(cols) for right in cols[c + 1 :] for i in left for j in right
+        )
+        by_height: dict[int, list[int]] = {}
+        for c, h in enumerate(self.parts):
+            by_height.setdefault(h, []).append(c)
+        pairs = tuple(
+            NeighbouringPair(a, b, h)
+            for h in sorted(by_height)
+            for a, b in zip(by_height[h], by_height[h][1:])
+        )
+        # Pairs of one height cover disjoint runs of adjacent columns.
+        surrounding = {(p.height, c): p for p in pairs for c in range(p.left, p.right)}
+        object.__setattr__(self, "_boxes", boxes)
+        object.__setattr__(self, "_nilradical", nilradical)
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_surrounding", surrounding)
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -99,22 +128,14 @@ class Diagram:
         return max(self.parts)
 
     def column_of(self, entry: int) -> int:
-        return self._lookup()[entry][0]
+        return self._boxes[entry][0]
 
     def row_of(self, entry: int) -> int:
-        return self._lookup()[entry][1]
+        return self._boxes[entry][1]
 
     def box_of(self, entry: int) -> tuple[int, int]:
         """(column, row) of the unique box holding ``entry``."""
-        return self._lookup()[entry]
-
-    @lru_cache(maxsize=None)
-    def _lookup(self) -> dict[int, tuple[int, int]]:
-        table: dict[int, tuple[int, int]] = {}
-        for c, col in enumerate(self.columns):
-            for r, entry in enumerate(col, start=1):
-                table[entry] = (c, r)
-        return table
+        return self._boxes[entry]
 
     def in_nilradical(self, pos: Pos) -> bool:
         i, j = pos
@@ -124,14 +145,8 @@ class Diagram:
         i, j = pos
         return i != j and self.column_of(i) == self.column_of(j)
 
-    @lru_cache(maxsize=None)
     def nilradical_positions(self) -> frozenset[Pos]:
-        return frozenset(
-            (i, j)
-            for i in range(1, self.n + 1)
-            for j in range(i + 1, self.n + 1)
-            if self.column_of(i) < self.column_of(j)
-        )
+        return self._nilradical
 
     @property
     def dim_nilradical(self) -> int:
@@ -179,14 +194,7 @@ def _diagram_cached(parts: tuple[int, ...]) -> Diagram:
 
 def neighbouring_pairs(diagram: Diagram) -> tuple[NeighbouringPair, ...]:
     """All neighbouring pairs, ordered by (height, left column)."""
-    by_height: dict[int, list[int]] = {}
-    for c, h in enumerate(diagram.parts):
-        by_height.setdefault(h, []).append(c)
-    pairs = []
-    for h in sorted(by_height):
-        cols = by_height[h]
-        pairs.extend(NeighbouringPair(a, b, h) for a, b in zip(cols, cols[1:]))
-    return tuple(sorted(pairs, key=lambda p: (p.height, p.left)))
+    return diagram._pairs
 
 
 def surrounding_pair(
@@ -194,10 +202,7 @@ def surrounding_pair(
 ) -> NeighbouringPair | None:
     """The unique height-``height`` pair surrounding the adjacent columns
     (adjacent_left, adjacent_left+1), if one exists."""
-    for pair in neighbouring_pairs(diagram):
-        if pair.height == height and pair.left <= adjacent_left and pair.right >= adjacent_left + 1:
-            return pair
-    return None
+    return diagram._surrounding.get((height, adjacent_left))
 
 
 def interval_columns(pair: NeighbouringPair) -> range:

@@ -49,10 +49,10 @@ def _minor_shape(diagram: Diagram, pair: NeighbouringPair):
     return entries, len(entries), s
 
 
-def _minor_entry(diagram: Diagram, row_entry: int, col_entry: int, s: int, full_identity: bool):
+def _minor_entry(diagram: Diagram, row_entry: int, col_entry: int, s: int):
     """Symbolic content of one minor cell, or None when it vanishes."""
     if col_entry == row_entry:
-        if full_identity or diagram.height(diagram.column_of(row_entry)) > s:
+        if diagram.height(diagram.column_of(row_entry)) > s:
             return "a"
         return None
     if col_entry < row_entry and diagram.column_of(col_entry) < diagram.column_of(row_entry):
@@ -60,13 +60,11 @@ def _minor_entry(diagram: Diagram, row_entry: int, col_entry: int, s: int, full_
     return None
 
 
-def symbolic_minor(diagram: Diagram, pair: NeighbouringPair, full_identity: bool = False) -> Poly:
+def symbolic_minor(diagram: Diagram, pair: NeighbouringPair) -> Poly:
     """Exact expansion of the lower-left minor of the pair's interval, every
     parameter power included: the reference for the truncated extraction.
 
     Entries outside the interval never occur and are suppressed up front.
-    ``full_identity`` also puts the parameter on blocks of height <= s; the
-    extracted coefficient is unchanged, which the test-suite exploits.
     """
     entries, n_prime, s = _minor_shape(diagram, pair)
     size = n_prime - s
@@ -77,7 +75,7 @@ def symbolic_minor(diagram: Diagram, pair: NeighbouringPair, full_identity: bool
     for r in rows:
         line = []
         for c in cols:
-            content = _minor_entry(diagram, r, c, s, full_identity)
+            content = _minor_entry(diagram, r, c, s)
             if content is None:
                 line.append(None)
             elif content == "a":
@@ -147,7 +145,7 @@ def _truncated_minor(diagram: Diagram, pair: NeighbouringPair, d: int, degree: i
     entries, n_prime, s = _minor_shape(diagram, pair)
     size = n_prime - s
     rows, cols = entries[s:], entries[:size]
-    contents = [[_minor_entry(diagram, r, c, s, False) for c in cols] for r in rows]
+    contents = [[_minor_entry(diagram, r, c, s) for c in cols] for r in rows]
     positions = sorted(cell for line in contents for cell in line if cell not in (None, "a"))
     bit_of = {pos: 1 << k for k, pos in enumerate(positions)}
     # Per row: (column, parameter power, variable bit) of each live cell.
@@ -317,7 +315,7 @@ def _random_invariant_value(
     for r in rows:
         line: list[tuple[str, int]] = []
         for c in cols:
-            content = _minor_entry(diagram, r, c, s, False)
+            content = _minor_entry(diagram, r, c, s)
             if content is None:
                 line.append(("z", 0))
             elif content == "a":
@@ -368,55 +366,6 @@ def _poly_mul_linear(coeffs: list[int], constant: int) -> list[int]:
         out[k] += c * constant
         out[k + 1] += c
     return out
-
-
-def _has_perfect_matching(adjacency: dict[int, list[int]], size: int) -> bool:
-    match_of_col: dict[int, int] = {}
-
-    def augment(row: int, seen: set[int]) -> bool:
-        for col in adjacency.get(row, ()):
-            if col in seen:
-                continue
-            seen.add(col)
-            if col not in match_of_col or augment(match_of_col[col], seen):
-                match_of_col[col] = row
-                return True
-        return False
-
-    return all(augment(row, set()) for row in range(size))
-
-
-def max_height_structural_vanishing(ct: ComponentTableau, pair: NeighbouringPair) -> bool | None:
-    """Advisory fast path for pairs of maximal height within their interval:
-    the minor is then parameter-free and its determinant vanishes structurally
-    once the primary exclusions of the penetrating trail are zeroed, detected
-    as the absence of a perfect matching in the surviving support.  Returns
-    None when the pair is not interval-maximal; never authoritative."""
-    from .roots import _generator_exclusions
-
-    diagram = ct.diagram
-    s = pair.height
-    if any(diagram.height(c) > s for c in range(pair.left, pair.right + 1)):
-        return None
-    record = penetrating_string(ct, pair)
-    primary = frozenset(
-        p
-        for m in record.steps
-        for p in _generator_exclusions(diagram, m.entry, m.star_targets, m.target_col).primary
-    )
-    entries, n_prime, _ = _minor_shape(diagram, pair)
-    size = n_prime - s
-    rows, cols = entries[s:], entries[:size]
-    adjacency = {
-        ri: [
-            ci
-            for ci, c in enumerate(cols)
-            if _minor_entry(diagram, r, c, s, False) not in (None, "a")
-            and (c, r) not in primary
-        ]
-        for ri, r in enumerate(rows)
-    }
-    return not _has_perfect_matching(adjacency, size)
 
 
 @dataclass(frozen=True)

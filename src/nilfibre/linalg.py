@@ -74,7 +74,3 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
                 if brow[j]:
                     acc[j] += aik * brow[j]
     return out
-
-
-def matrix_rank(matrix: list[list[int]]) -> int:
-    return exact_rank(matrix)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilfibre import builder
 from nilfibre.builder import (
     ONE,
     component_tableaux,
@@ -10,7 +11,8 @@ from nilfibre.builder import (
     extend_all,
     strings,
 )
-from nilfibre.core import diagram_of, neighbouring_pairs
+from nilfibre.conformance import compositions_of
+from nilfibre.core import ConstructionViolation, diagram_of, neighbouring_pairs
 
 compositions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple)
 
@@ -45,11 +47,9 @@ def test_enumeration_counts(parts, count):
     assert len(extend_all(diagram_of(parts))) == count
 
 
-def test_validation_mode_matches_eager():
-    for parts in [(1, 2, 1, 2), (2, 1, 1, 2, 1), (2, 1, 2, 1, 2, 1)]:
-        eager = enumerate_component_tableaux(diagram_of(parts))
-        lazy = enumerate_component_tableaux(diagram_of(parts), validate=True)
-        assert [ct.to_json() for ct in eager] == [ct.to_json() for ct in lazy]
+def test_tableau_totals_per_n():
+    totals = [sum(len(extend_all(diagram_of(parts))) for parts in compositions_of(n)) for n in range(1, 11)]
+    assert totals == [1, 2, 4, 8, 16, 36, 76, 165, 370, 839]
 
 
 def test_canonical_tableau_121():
@@ -218,9 +218,14 @@ def test_extended_column_entries_distinct(parts):
 
 
 def test_free_pair_always_has_choice():
-    # observation honoured on every composition up to n = 6
-    from nilfibre.conformance import compositions_of
-
+    # observation honoured on every composition up to n = 6; every
+    # enumeration raises if a free pair has no move at its own stage
     for n in range(1, 7):
         for parts in compositions_of(n):
-            enumerate_component_tableaux(diagram_of(parts), validate=True)
+            enumerate_component_tableaux(diagram_of(parts))
+
+
+def test_free_pair_without_a_move_raises(monkeypatch):
+    monkeypatch.setattr(builder, "_candidates", lambda diagram, state, stage: [])
+    with pytest.raises(ConstructionViolation, match="no admissible choice"):
+        extend_all(diagram_of((1, 1)))

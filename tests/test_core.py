@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilfibre.conformance import compositions_of
 from nilfibre.core import (
     Composition,
     InvalidInput,
@@ -94,6 +95,28 @@ def test_rectangle_and_surrounding():
     assert surrounding_pair(d, 1, 1) == NeighbouringPair(1, 2, 1)
 
 
+def _scan_surrounding_pair(d, height, adjacent_left):
+    # the linear scan the pair table replaced
+    for pair in neighbouring_pairs(d):
+        if pair.height == height and pair.left <= adjacent_left and pair.right >= adjacent_left + 1:
+            return pair
+    return None
+
+
+def test_surrounding_pair_matches_linear_scan():
+    found = missing = 0
+    for n in range(1, 9):
+        for parts in compositions_of(n):
+            d = diagram_of(parts)
+            for height in range(1, max(parts) + 2):
+                for adjacent_left in range(len(parts) - 1):
+                    expected = _scan_surrounding_pair(d, height, adjacent_left)
+                    assert surrounding_pair(d, height, adjacent_left) == expected, (parts, height, adjacent_left)
+                    found += expected is not None
+                    missing += expected is None
+    assert found and missing
+
+
 def test_matrix_model_membership():
     d = diagram_of((1, 2, 1))
     assert d.in_nilradical((1, 2))
@@ -112,6 +135,8 @@ def test_diagram_json():
 def test_dimension_matches_position_count(parts):
     d = diagram_of(parts)
     assert d.dim_nilradical == len(d.nilradical_positions())
+    pairs = {(i, j) for i in range(1, d.n + 1) for j in range(1, d.n + 1)}
+    assert d.nilradical_positions() == {pos for pos in pairs if d.in_nilradical(pos)}
 
 
 @given(compositions)

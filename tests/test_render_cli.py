@@ -116,6 +116,21 @@ def test_usage_errors():
 @pytest.mark.parametrize(
     "argv",
     [
+        ["verify", "--composition", "2,1,1,2", "--checks", ""],
+        ["verify", "--composition", "2,1,1,2", "--checks", ","],
+        ["sweep", "--n", "2", "--checks", " , "],
+    ],
+)
+def test_empty_check_list_is_a_usage_error(tmp_path, argv):
+    # a report with no checks would read "pass": true while checking nothing
+    out = tmp_path / "report"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["sweep", "--n", "0"],
         ["sweep", "--n", "-2"],
         ["sweep", "--n", "three"],
