@@ -22,8 +22,7 @@ original boxes of their endpoint entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 from .core import (
     ConstructionViolation,
@@ -67,18 +66,18 @@ class DecoratedLine:
 
 @dataclass(frozen=True)
 class ExtendedTableau:
-    """The stabilized limit tableau together with the move history."""
+    """The stabilized limit tableau together with the move history.
+
+    The trail of each entry is built once, at construction; it takes no part
+    in equality, hashing or repr."""
 
     diagram: Diagram
     columns: tuple[tuple[int, ...], ...]
     moves: tuple[Move, ...]
     stage: int  # last completed row
+    _trails: dict[int, tuple[tuple[int, int], ...]] = field(init=False, repr=False, compare=False)
 
-    def occurrences(self, entry: int) -> tuple[tuple[int, int], ...]:
-        return self._strings().get(entry, ())
-
-    @lru_cache(maxsize=None)
-    def _strings(self) -> dict[int, tuple[tuple[int, int], ...]]:
+    def __post_init__(self) -> None:
         occ: dict[int, list[tuple[int, int]]] = {}
         for c, col in enumerate(self.columns):
             for r, entry in enumerate(col, start=1):
@@ -88,38 +87,42 @@ class ExtendedTableau:
             cols = [c for c, _ in boxes]
             if len(set(cols)) != len(cols):
                 raise ConstructionViolation(f"entry {entry} repeats within a column")
-        return {entry: tuple(boxes) for entry, boxes in occ.items()}
+        object.__setattr__(self, "_trails", {entry: tuple(boxes) for entry, boxes in occ.items()})
 
-    def used_pairs(self) -> frozenset[NeighbouringPair]:
-        return frozenset(p for m in self.moves for _, p in m.consumed)
+    def occurrences(self, entry: int) -> tuple[tuple[int, int], ...]:
+        return self._trails.get(entry, ())
 
 
 @dataclass(frozen=True)
 class ComponentTableau:
     """A decorated tableau on the original diagram: the choice data, the
     labelled lines collapsed back onto original boxes, and the supports of the
-    ``1``-matrix and of the ``*``-span."""
+    ``1``-matrix and of the ``*``-span.  The pair-to-entry table is built
+    once, at construction; it takes no part in equality, hashing or repr."""
 
     diagram: Diagram
     extended: ExtendedTableau
     lines: tuple[DecoratedLine, ...]  # labels ONE / STAR only, boxes in the diagram
     e_support: frozenset[Pos]
     v_support: frozenset[Pos]
+    _pair_entry: dict[NeighbouringPair, int] = field(init=False, repr=False, compare=False)
 
     @property
     def moves(self) -> tuple[Move, ...]:
         return self.extended.moves
 
-    @lru_cache(maxsize=None)
-    def pair_entry(self) -> dict[NeighbouringPair, int]:
-        """Which entry consumed each neighbouring pair."""
+    def __post_init__(self) -> None:
         table: dict[NeighbouringPair, int] = {}
         for move in self.moves:
             for _, pair in move.consumed:
                 if pair in table:
                     raise ConstructionViolation(f"pair {pair} consumed twice")
                 table[pair] = move.entry
-        return table
+        object.__setattr__(self, "_pair_entry", table)
+
+    def pair_entry(self) -> dict[NeighbouringPair, int]:
+        """Which entry consumed each neighbouring pair."""
+        return self._pair_entry
 
     def choice_json(self) -> list[dict]:
         records = []
@@ -370,7 +373,6 @@ def enumerate_component_tableaux(diagram: Diagram) -> tuple[ComponentTableau, ..
     return tuple(collapse(ext, decorate(ext)) for ext in extend_all(diagram))
 
 
-@lru_cache(maxsize=None)
 def component_tableaux(parts: tuple[int, ...]) -> tuple[ComponentTableau, ...]:
-    """Cached enumeration for a composition given by its parts."""
+    """Enumeration for a composition given by its parts."""
     return enumerate_component_tableaux(diagram_of(parts))

@@ -127,8 +127,8 @@ def _below_valuation(pair: NeighbouringPair, d: int) -> InternalConsistencyError
     return InternalConsistencyError(f"raw minor of {pair} has a nonzero coefficient below valuation {d}")
 
 
-def _not_multilinear(pair: NeighbouringPair, degree: int) -> InternalConsistencyError:
-    return InternalConsistencyError(f"invariant of {pair} is not multilinear of degree {degree}")
+def _wrong_degree(pair: NeighbouringPair, degree: int) -> InternalConsistencyError:
+    return InternalConsistencyError(f"invariant of {pair} is not of degree {degree}")
 
 
 def _truncated_minor(diagram: Diagram, pair: NeighbouringPair, d: int, degree: int) -> Poly:
@@ -187,7 +187,7 @@ def _truncated_minor(diagram: Diagram, pair: NeighbouringPair, d: int, degree: i
             rest = piece
             while rest:
                 low = rest & -rest
-                out.append((positions[low.bit_length() - 1], 1))
+                out.append(positions[low.bit_length() - 1])
                 rest ^= low
             halves[piece] = tuple(out)
         return halves[piece]
@@ -199,7 +199,7 @@ def _truncated_minor(diagram: Diagram, pair: NeighbouringPair, d: int, degree: i
         if power < d:
             raise _below_valuation(pair, d)
         if mask.bit_count() != degree:
-            raise _not_multilinear(pair, degree)
+            raise _wrong_degree(pair, degree)
         low = mask & low_half
         leading[(0, peel(low) + peel(mask ^ low))] = coeff
     return Poly(leading)
@@ -221,8 +221,8 @@ def extract_invariant(diagram: Diagram, pair: NeighbouringPair, minor: Poly | No
     inv = leading.sign_normalized()
     if inv.is_zero():
         raise InternalConsistencyError(f"extracted invariant of {pair} is zero")
-    if minor is not None and (not inv.is_multilinear() or inv.total_degrees() != {degree}):
-        raise _not_multilinear(pair, degree)
+    if minor is not None and inv.total_degrees() != {degree}:
+        raise _wrong_degree(pair, degree)
     return InvariantRecord(pair, d, degree, inv)
 
 
@@ -246,9 +246,18 @@ def invariant_for(parts: tuple[int, ...], pair: NeighbouringPair) -> InvariantRe
         try:
             with open(path) as handle:
                 data = json.load(handle)
-            return InvariantRecord(pair, data["d_D"], data["degree"], Poly.from_json(data["polynomial"]))
+            cached = InvariantRecord(pair, data["d_D"], data["degree"], Poly.from_json(data["polynomial"]))
         except (FileNotFoundError, ValueError, KeyError, TypeError):
             pass  # a miss; a corrupt entry is rewritten below
+        else:
+            # A readable entry that disagrees with the diagram is a miss too.
+            degree = true_degree(diagram, pair)
+            if (
+                cached.band_boxes == boxes_below_band(diagram, pair)
+                and cached.degree == degree
+                and cached.polynomial.total_degrees() == {degree}
+            ):
+                return cached
     record = extract_invariant(diagram, pair)
     if path:
         os.makedirs(cache, exist_ok=True)
@@ -483,8 +492,8 @@ def weierstrass_restrict(ct: ComponentTableau, pair: NeighbouringPair) -> PairRe
     if len(rest.terms) == 1:
         (mono, coeff), = rest.terms.items()
         _, vars_ = mono
-        if len(vars_) == 1 and vars_[0][1] == 1 and coeff in (1, -1):
-            single = vars_[0][0]
+        if len(vars_) == 1 and coeff in (1, -1):
+            single = vars_[0]
     ok = single is not None and single == expected and single in ct.v_support
     return PairRestriction(pair, single, ok, rest)
 

@@ -1,16 +1,17 @@
-"""Exact sparse multivariate polynomials over the integers.
+"""Exact sparse multilinear polynomials over the integers.
 
 Variables are matrix positions (i, j) plus the auxiliary diagonal parameter.
-A monomial is (parameter exponent, sorted tuple of positions with exponents);
-coefficients are arbitrary-precision integers and zero coefficients are never
-stored.
+A monomial is (parameter exponent, sorted tuple of distinct positions): every
+determinant term uses each cell at most once, so no position ever carries an
+exponent, and a product that would repeat one raises.  Coefficients are
+arbitrary-precision integers and zero coefficients are never stored.
 """
 
 from __future__ import annotations
 
-from .core import InvalidInput, Pos
+from .core import InternalConsistencyError, InvalidInput, Pos
 
-Mono = tuple[int, tuple[tuple[Pos, int], ...]]
+Mono = tuple[int, tuple[Pos, ...]]
 
 _A_KEY = "a"
 
@@ -23,10 +24,9 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     elif not v2:
         vars_ = v1
     else:
-        merged: dict[Pos, int] = dict(v1)
-        for pos, exp in v2:
-            merged[pos] = merged.get(pos, 0) + exp
-        vars_ = tuple(sorted(merged.items()))
+        if not set(v1).isdisjoint(v2):
+            raise InternalConsistencyError(f"product of {v1} and {v2} repeats a position")
+        vars_ = tuple(sorted(v1 + v2))
     return (a1 + a2, vars_)
 
 
@@ -48,7 +48,7 @@ class Poly:
 
     @classmethod
     def var(cls, pos: Pos) -> "Poly":
-        return cls({(0, ((pos, 1),)): 1})
+        return cls({(0, (pos,)): 1})
 
     @classmethod
     def a(cls) -> "Poly":
@@ -59,9 +59,6 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
@@ -76,12 +73,7 @@ class Poly:
     def __neg__(self) -> "Poly":
         return Poly({m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, int):
-            return Poly({m: c * other for m, c in self.terms.items()})
+    def __mul__(self, other: "Poly") -> "Poly":
         out: dict[Mono, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -93,16 +85,8 @@ class Poly:
                     out.pop(mono, None)
         return Poly(out)
 
-    __rmul__ = __mul__
-
     def variables(self) -> frozenset[Pos]:
-        return frozenset(pos for _, vars_ in self.terms for pos, _ in vars_)
-
-    def a_degree_range(self) -> tuple[int, int]:
-        if not self.terms:
-            raise InvalidInput("zero polynomial has no degree range")
-        degrees = [a for a, _ in self.terms]
-        return min(degrees), max(degrees)
+        return frozenset(pos for _, vars_ in self.terms for pos in vars_)
 
     def a_coefficient(self, power: int) -> "Poly":
         """The coefficient of the given parameter power, a polynomial in the
@@ -121,13 +105,13 @@ class Poly:
             else:
                 a_new = a_exp
             kept = []
-            for pos, exp in vars_:
+            for pos in vars_:
                 if pos in assignment:
-                    coeff *= assignment[pos] ** exp
+                    coeff *= assignment[pos]
                     if coeff == 0:
                         break
                 else:
-                    kept.append((pos, exp))
+                    kept.append(pos)
             if coeff == 0:
                 continue
             mono = (a_new, tuple(kept))
@@ -145,15 +129,12 @@ class Poly:
             return self.terms[(0, ())]
         raise InvalidInput("polynomial is not constant")
 
-    def is_multilinear(self) -> bool:
-        return all(exp == 1 for _, vars_ in self.terms for _, exp in vars_)
-
     def monomial_support(self) -> frozenset[frozenset[Pos]]:
         """Position sets of the monomials, parameter discarded."""
-        return frozenset(frozenset(pos for pos, _ in vars_) for _, vars_ in self.terms)
+        return frozenset(frozenset(vars_) for _, vars_ in self.terms)
 
     def total_degrees(self) -> set[int]:
-        return {sum(exp for _, exp in vars_) for _, vars_ in self.terms}
+        return {len(vars_) for _, vars_ in self.terms}
 
     def sign_normalized(self) -> "Poly":
         """Scale by -1 if needed so the lexicographically least monomial has a
@@ -169,7 +150,7 @@ class Poly:
             records.append(
                 {
                     "coeff": coeff,
-                    "vars": [[i, j] for (i, j), exp in vars_ for _ in range(exp)],
+                    "vars": [[i, j] for i, j in vars_],
                     "aPow": a_exp,
                 }
             )
@@ -178,12 +159,14 @@ class Poly:
 
     @classmethod
     def from_json(cls, records: list[dict]) -> "Poly":
+        """Inverse of ``to_json``; raises ``ValueError`` on a monomial that
+        repeats a position."""
         terms: dict[Mono, int] = {}
         for record in records:
-            counts: dict[Pos, int] = {}
-            for i, j in record["vars"]:
-                counts[(i, j)] = counts.get((i, j), 0) + 1
-            mono = (record["aPow"], tuple(sorted(counts.items())))
+            vars_ = tuple(sorted((i, j) for i, j in record["vars"]))
+            if len(set(vars_)) != len(vars_):
+                raise ValueError(f"monomial {record['vars']} repeats a position")
+            mono = (record["aPow"], vars_)
             terms[mono] = terms.get(mono, 0) + record["coeff"]
         return cls(terms)
 
@@ -192,9 +175,7 @@ class Poly:
             return "0"
         chunks = []
         for (a_exp, vars_), coeff in sorted(self.terms.items(), key=lambda t: (t[0][1], t[0][0])):
-            body = "".join(
-                f"x{i},{j}" + (f"^{e}" if e > 1 else "") for (i, j), e in vars_
-            )
+            body = "".join(f"x{i},{j}" for i, j in vars_)
             if a_exp:
                 body = f"a^{a_exp}" + body if a_exp > 1 else "a" + body
             chunks.append(f"{coeff:+d}{body}" if body else f"{coeff:+d}")

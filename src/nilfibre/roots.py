@@ -18,7 +18,6 @@ the amalgamated (hatted) tableau whose degree drops by exactly one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import (
     ConstructionViolation,
@@ -181,7 +180,6 @@ def _generator_exclusions(diagram: Diagram, entry: int, j_list: tuple[int, ...],
     return GeneratorExclusions(entry, j_list, target_col, primary, secondary)
 
 
-@lru_cache(maxsize=None)
 def excluded_roots(ct: ComponentTableau) -> ExcludedRootSet:
     """Union of the per-generator exclusions; the complement spans the
     subalgebra attached to the tableau."""

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from nilfibre.builder import (
 )
 from nilfibre.conformance import compositions_of
 from nilfibre.core import ConstructionViolation, diagram_of, neighbouring_pairs
+from nilfibre.roots import excluded_roots
 
 compositions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple)
 
@@ -229,3 +233,17 @@ def test_free_pair_without_a_move_raises(monkeypatch):
     monkeypatch.setattr(builder, "_candidates", lambda diagram, state, stage: [])
     with pytest.raises(ConstructionViolation, match="no admissible choice"):
         extend_all(diagram_of((1, 1)))
+
+
+def test_tableaux_are_released_by_their_caller():
+    # Nothing in the engine retains a tableau once the caller drops it.  A
+    # cache keeps the first of equal keys, so the composition is one that no
+    # other test enumerates.
+    ct = component_tableaux((4, 1, 1, 4))[0]
+    excluded_roots(ct)
+    ct.pair_entry()
+    ct.extended.occurrences(1)
+    refs = [weakref.ref(ct), weakref.ref(ct.extended)]
+    del ct
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]

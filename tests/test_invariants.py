@@ -116,8 +116,7 @@ def test_minor_valuation(parts):
     d = diagram_of(parts)
     for pair in neighbouring_pairs(d):
         minor = symbolic_minor(d, pair)
-        lo, _ = minor.a_degree_range()
-        assert lo == boxes_below_band(d, pair)
+        assert min(a for a, _ in minor.terms) == boxes_below_band(d, pair)
 
 
 def test_evaluate_full_and_partial():
@@ -130,6 +129,14 @@ def test_evaluate_full_and_partial():
     partial = evaluate(rec.polynomial, {(2, 4): 0})
     assert isinstance(partial, Poly)
     assert partial == poly_of([(1, [(1, 3), (3, 4)])])
+
+
+def test_repeated_position_is_rejected():
+    x = Poly.var((1, 2))
+    with pytest.raises(InternalConsistencyError, match="repeats a position"):
+        x * x
+    with pytest.raises(ValueError, match="repeats a position"):
+        Poly.from_json([{"coeff": 1, "vars": [[1, 2], [2, 3], [1, 2]], "aPow": 0}])
 
 
 def test_evaluate_rejects_unknown_variable():
@@ -286,6 +293,7 @@ def test_truncated_extraction_matches_full_expansion():
         assert fast == oracle, (parts, pair)
         assert set(fast.polynomial.terms.values()) <= {1, -1}, (parts, pair)
         assert fast.polynomial.monomial_support() == chain_support(d, pair), (parts, pair)
+        assert Poly.from_json(fast.polynomial.to_json()) == fast.polynomial, (parts, pair)
     assert len(cases) > 1000
 
 

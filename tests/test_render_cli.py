@@ -207,7 +207,27 @@ def test_invariant_disk_cache(tmp_path, monkeypatch):
     invariants.invariant_for.cache_clear()
 
 
-@pytest.mark.parametrize("content", ["", "{not json", "{}", "[]"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        "",
+        "{not json",
+        "{}",
+        "[]",
+        pytest.param(
+            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[3, 4], [3, 4]], "aPow": 0}]}',
+            id="repeated-position",
+        ),
+        pytest.param(
+            '{"degree": 2, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[3, 4]], "aPow": 0}]}',
+            id="wrong-degree",
+        ),
+        pytest.param(
+            '{"degree": 1, "d_D": 1, "polynomial": [{"coeff": 1, "vars": [[3, 4]], "aPow": 0}]}',
+            id="wrong-valuation",
+        ),
+    ],
+)
 def test_invariant_disk_cache_rewrites_corrupt_entries(tmp_path, monkeypatch, content):
     from nilfibre import invariants
     from nilfibre.core import neighbouring_pairs
