@@ -15,9 +15,9 @@ from .linalg import exact_rank, mat_mul
 from .roots import (
     ExcludedRootSet,
     bracket_closure_violations,
-    excluded_roots,
     penetrating_string,
     special_star_line,
+    trail_exclusions,
 )
 
 
@@ -39,8 +39,7 @@ class LabelPartition:
         return self.y_set <= self.x_set and not (self.s_set & self.x_set)
 
 
-def label_partition(ct: ComponentTableau, roots: ExcludedRootSet | None = None) -> LabelPartition:
-    roots = roots or excluded_roots(ct)
+def label_partition(ct: ComponentTableau, roots: ExcludedRootSet) -> LabelPartition:
     return LabelPartition(ct.diagram, ct.e_support, ct.v_support, roots.excluded)
 
 
@@ -60,7 +59,7 @@ class CoveringReport:
         }
 
 
-def covering_check(ct: ComponentTableau, roots: ExcludedRootSet | None = None) -> CoveringReport:
+def covering_check(ct: ComponentTableau, roots: ExcludedRootSet) -> CoveringReport:
     """Every unstarred exclusion must lie strictly right of a one-labelled
     position in its own matrix row."""
     part = label_partition(ct, roots)
@@ -122,7 +121,6 @@ class DimensionReport:
     dim_nilradical: int
     generators: int
     rank_u_plus_ne: int
-    bracket_rank: int
     direct_sum_ok: bool
     ne_meets_y_trivially: bool
     jordan_of_e: tuple[int, ...]
@@ -147,58 +145,56 @@ class DimensionReport:
         }
 
 
-def tangent_dimension(ct: ComponentTableau, roots: ExcludedRootSet | None = None) -> DimensionReport:
+def tangent_dimension(ct: ComponentTableau, roots: ExcludedRootSet) -> DimensionReport:
     """Exact ranks behind the dimension count: the support space plus the
-    bracket image of the one-matrix misses exactly the starred span."""
+    bracket image of the one-matrix misses exactly the starred span.  U and Y
+    are coordinate spans, so rank(S + NE) = |S| + rank(NE without S's
+    coordinates) for S = U, Y, U + Y: only the bracket rows are eliminated."""
     diagram = ct.diagram
-    roots = roots or excluded_roots(ct)
-    positions = sorted(diagram.nilradical_positions())
-    index = {pos: k for k, pos in enumerate(positions)}
+    nilradical = diagram.nilradical_positions()
+    positions = sorted(nilradical)
     dim_m = len(positions)
     g = len(neighbouring_pairs(diagram))
 
-    def bracket_with_e(i: int, j: int) -> list[int]:
-        # [E_ij, e] projected onto the nilradical coordinates
-        vec = [0] * dim_m
-        for k, l in ct.e_support:
-            if j == k and (i, l) in index:
-                vec[index[(i, l)]] += 1
-            if l == i and (k, j) in index:
-                vec[index[(k, j)]] -= 1
-        return vec
-
-    ne_vectors = []
+    # [E_ij, e] projected onto the nilradical coordinates as a sparse row; e is
+    # strictly upper triangular, so no coordinate is hit twice
+    brackets = []
     for i in range(1, diagram.n + 1):
         for j in range(i + 1, diagram.n + 1):
-            vec = bracket_with_e(i, j)
-            if any(vec):
-                ne_vectors.append(vec)
+            vec: dict[Pos, int] = {}
+            for k, l in ct.e_support:
+                if j == k and (i, l) in nilradical:
+                    vec[(i, l)] = 1
+                if l == i and (k, j) in nilradical:
+                    vec[(k, j)] = -1
+            if vec:
+                brackets.append(vec)
 
-    u_vectors = []
-    for pos in roots.u_support:
-        vec = [0] * dim_m
-        vec[index[pos]] = 1
-        u_vectors.append(vec)
+    def rank_with_units(units: frozenset[Pos]) -> int:
+        column = {pos: k for k, pos in enumerate(p for p in positions if p not in units)}
+        rows = []
+        for vec in brackets:
+            row = [0] * len(column)
+            for pos, value in vec.items():
+                if pos in column:
+                    row[column[pos]] = value
+            if any(row):
+                rows.append(row)
+        return len(units) + exact_rank(rows)
 
-    y_vectors = []
-    for pos in ct.v_support:
-        vec = [0] * dim_m
-        vec[index[pos]] = 1
-        y_vectors.append(vec)
-
-    rank_ne = exact_rank(ne_vectors)
-    rank_u_ne = exact_rank(u_vectors + ne_vectors)
-    rank_ne_y = exact_rank(ne_vectors + y_vectors)
-    rank_all = exact_rank(u_vectors + ne_vectors + y_vectors)
+    u_set, y_set = roots.u_support, ct.v_support
+    rank_ne = rank_with_units(frozenset())
+    rank_u_ne = rank_with_units(u_set)
+    rank_ne_y = rank_with_units(y_set)
+    rank_all = rank_with_units(u_set | y_set)
 
     jordan = jordan_type(_one_matrix(diagram, ct.e_support))
     return DimensionReport(
         dim_nilradical=dim_m,
         generators=g,
         rank_u_plus_ne=rank_u_ne,
-        bracket_rank=rank_ne,
-        direct_sum_ok=rank_all == dim_m and rank_u_ne + len(y_vectors) == dim_m,
-        ne_meets_y_trivially=rank_ne_y == rank_ne + len(y_vectors),
+        direct_sum_ok=rank_all == dim_m and rank_u_ne + len(y_set) == dim_m,
+        ne_meets_y_trivially=rank_ne_y == rank_ne + len(y_set),
         jordan_of_e=jordan,
     )
 
@@ -223,7 +219,7 @@ class OrbitalReport:
 
 def orbital_variety_test(
     ct: ComponentTableau,
-    roots: ExcludedRootSet | None = None,
+    roots: ExcludedRootSet,
     rng: Random | None = None,
     samples: int = 5,
 ) -> OrbitalReport:
@@ -234,7 +230,6 @@ def orbital_variety_test(
     least three samples attain it; anything else is reported inconclusive.
     """
     diagram = ct.diagram
-    roots = roots or excluded_roots(ct)
     rng = rng or Random(0)
     n = diagram.n
     g = len(neighbouring_pairs(diagram))
@@ -290,7 +285,9 @@ class InjectivityWitness:
         }
 
 
-def injectivity_witness(ct_a: ComponentTableau, ct_b: ComponentTableau) -> InjectivityWitness:
+def injectivity_witness(
+    ct_a: ComponentTableau, ct_b: ComponentTableau, roots_a: ExcludedRootSet, roots_b: ExcludedRootSet
+) -> InjectivityWitness:
     """Separate two tableaux of one composition along their first differing
     batch: exchanged labels, clearance of the upper-right quadrant of the
     rightmost line, vanishing on the halted-trail exclusions and a section
@@ -306,12 +303,12 @@ def injectivity_witness(ct_a: ComponentTableau, ct_b: ComponentTableau) -> Injec
         raise InvalidInput("tableaux share identical numerical data")
     # The rightmost line comes from the tableau whose penetrating descent for
     # the differing pair lands in the further-right column.
-    target_a = penetrating_string(ct_a, pair).steps[-1].target_col
-    target_b = penetrating_string(ct_b, pair).steps[-1].target_col
-    if (target_a, choices_a[pair]) < (target_b, choices_b[pair]):
-        ct_low, ct_high = ct_a, ct_b
+    record_a = penetrating_string(ct_a, pair)
+    record_b = penetrating_string(ct_b, pair)
+    if (record_a.steps[-1].target_col, choices_a[pair]) < (record_b.steps[-1].target_col, choices_b[pair]):
+        ct_low, ct_high, excluded = ct_a, ct_b, trail_exclusions(roots_a, record_a)
     else:
-        ct_low, ct_high = ct_b, ct_a
+        ct_low, ct_high, excluded = ct_b, ct_a, trail_exclusions(roots_b, record_b)
     exchanged = (choices_a[pair], choices_b[pair])
     exchanged = (min(exchanged), max(exchanged))
 
@@ -324,14 +321,13 @@ def injectivity_witness(ct_a: ComponentTableau, ct_b: ComponentTableau) -> Injec
         and line_rightmost in ct_low.e_support
     )
 
-    record = penetrating_string(ct_low, pair)
     i_p, j_p = line_rightmost
-    quadrant_clear = line_rightmost not in record.excluded and not any(
-        k <= i_p and l >= j_p and (k, l) != (i_p, j_p) for k, l in record.excluded
+    quadrant_clear = line_rightmost not in excluded and not any(
+        k <= i_p and l >= j_p and (k, l) != (i_p, j_p) for k, l in excluded
     )
 
     invariant = invariant_for(ct_low.diagram.parts, pair)
-    specific = invariant.polynomial.substitute({p: 0 for p in record.excluded}).is_zero()
+    specific = invariant.polynomial.substitute({p: 0 for p in excluded}).is_zero()
     value = evaluate_at_section_point(invariant, ct_high.e_support, line_rightmost)
     return InjectivityWitness(
         pair,

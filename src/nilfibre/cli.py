@@ -169,9 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest interval handled by full symbolic expansion",
     )
 
-    enum = sub.add_parser("enumerate", parents=[common], help="list the component tableaux")
+    enum = sub.add_parser("enumerate", help="list the component tableaux")
     enum.add_argument("--composition", required=True)
     enum.add_argument("--format", choices=("text", "json", "latex"), default="text")
+    enum.add_argument("--out", default=None, help="output file (default stdout)")
     enum.set_defaults(func=cmd_enumerate)
 
     verify = sub.add_parser("verify", parents=[common], help="verify the theorems on one composition")

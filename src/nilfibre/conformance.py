@@ -16,7 +16,7 @@ from .analysis import (
     tangent_dimension,
 )
 from .builder import component_tableaux
-from .core import Composition, diagram_of
+from .core import Composition
 from .invariants import DEFAULT_SYMBOLIC_MAX_N, vanishing_check, weierstrass_check
 from .roots import excluded_roots
 
@@ -39,8 +39,8 @@ def verify_composition(
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     parts = composition.parts
-    diagram = diagram_of(parts)
     tableaux = component_tableaux(parts)
+    all_roots = [excluded_roots(ct) for ct in tableaux]
     report: dict = {
         "schemaVersion": SCHEMA_VERSION,
         "composition": list(parts),
@@ -55,8 +55,7 @@ def verify_composition(
         "inconclusive": False,
     }
     modes: set[str] = set()
-    for idx, ct in enumerate(tableaux):
-        roots = excluded_roots(ct)
+    for idx, (ct, roots) in enumerate(zip(tableaux, all_roots)):
         entry: dict = {"index": idx, "data": ct.choice_json()}
         if "vanishing" in checks:
             result = vanishing_check(
@@ -95,7 +94,7 @@ def verify_composition(
     if "injectivity" in checks:
         for a in range(len(tableaux)):
             for b in range(a + 1, len(tableaux)):
-                witness = injectivity_witness(tableaux[a], tableaux[b])
+                witness = injectivity_witness(tableaux[a], tableaux[b], all_roots[a], all_roots[b])
                 report["injectivityPairs"].append(
                     {"i": a, "j": b, "witness": witness.to_json()}
                 )

@@ -37,8 +37,8 @@ from .core import (
 )
 from .builder import ComponentTableau
 from .linalg import bareiss_det
-from .poly import Poly, evaluate
-from .roots import ExcludedRootSet, penetrating_string, special_star_line
+from .poly import Poly
+from .roots import ExcludedRootSet, penetrating_string, special_star_line, trail_exclusions
 
 DEFAULT_SYMBOLIC_MAX_N = 10
 
@@ -250,12 +250,22 @@ def invariant_for(parts: tuple[int, ...], pair: NeighbouringPair) -> InvariantRe
         except (FileNotFoundError, ValueError, KeyError, TypeError):
             pass  # a miss; a corrupt entry is rewritten below
         else:
-            # A readable entry that disagrees with the diagram is a miss too.
+            # A readable entry that cannot be this pair's generator is a miss
+            # too: wrong degree or valuation, a parameter power, a non-integer
+            # coefficient, or a position outside the interval's nilradical.
+            poly = cached.polynomial
             degree = true_degree(diagram, pair)
+            inside = interval_entries(diagram, pair)
             if (
                 cached.band_boxes == boxes_below_band(diagram, pair)
                 and cached.degree == degree
-                and cached.polynomial.total_degrees() == {degree}
+                and poly.total_degrees() == {degree}
+                and {a_pow for a_pow, _ in poly.terms} == {0}
+                and {type(coeff) for coeff in poly.terms.values()} == {int}
+                and all(
+                    i in inside and j in inside and diagram.in_nilradical((i, j))
+                    for i, j in poly.variables()
+                )
             ):
                 return cached
     record = extract_invariant(diagram, pair)
@@ -443,9 +453,8 @@ def vanishing_check(
     rng = rng or Random(0)
     results = []
     for pair in neighbouring_pairs(diagram):
-        specific = penetrating_string(ct, pair).excluded
-        entries, n_prime, _ = _minor_shape(diagram, pair)
-        if n_prime <= symbolic_max_n:
+        specific = trail_exclusions(roots, penetrating_string(ct, pair))
+        if len(interval_entries(diagram, pair)) <= symbolic_max_n:
             record = invariant_for(diagram.parts, pair)
             g_ok, g_wit = _symbolic_zero(record, roots.excluded)
             s_ok, s_wit = _symbolic_zero(record, specific)

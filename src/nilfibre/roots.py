@@ -239,8 +239,6 @@ class PenetrationRecord:
     entry: int
     steps: tuple[Move, ...]  # lowering events up to and including penetration
     landing_row: int  # first row below the band that the trail reaches
-    halted: bool  # the trail continues past the recorded steps
-    excluded: frozenset[Pos]  # exclusions carried by the recorded steps only
 
 
 def penetrating_string(ct: ComponentTableau, pair: NeighbouringPair) -> PenetrationRecord:
@@ -264,19 +262,14 @@ def penetrating_string(ct: ComponentTableau, pair: NeighbouringPair) -> Penetrat
         raise ConstructionViolation(f"trail of {entry} never penetrates below row {pair.height}")
     if not (pair.left < steps[-1].target_col <= pair.right):
         raise ConstructionViolation(f"penetration of {entry} lands outside ]C,C'] of {pair}")
-    excluded = frozenset(
-        p
-        for m in steps
-        for p in _generator_exclusions(ct.diagram, m.entry, m.star_targets, m.target_col).all
-    )
-    return PenetrationRecord(
-        pair,
-        entry,
-        tuple(steps),
-        landing,
-        halted=len(steps) < len(events),
-        excluded=excluded,
-    )
+    return PenetrationRecord(pair, entry, tuple(steps), landing)
+
+
+def trail_exclusions(roots: ExcludedRootSet, record: PenetrationRecord) -> frozenset[Pos]:
+    """Exclusions carried by the recorded steps of a trail only, read from
+    the tableau's per-move exclusions (one per (entry, target column))."""
+    steps = {(m.entry, m.target_col) for m in record.steps}
+    return frozenset(p for g in roots.by_generator if (g.entry, g.target_col) in steps for p in g.all)
 
 
 def special_star_line(ct: ComponentTableau, pair: NeighbouringPair) -> Pos:

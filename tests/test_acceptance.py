@@ -159,7 +159,7 @@ def test_criterion_6_weierstrass_sweep():
 
 def test_criterion_7_dimension_sweep():
     for parts, ct in every_tableau(9):
-        result = tangent_dimension(ct)
+        result = tangent_dimension(ct, excluded_roots(ct))
         assert result.rank_u_plus_ne == result.dim_nilradical - result.generators, parts
         assert result.ne_meets_y_trivially, parts
         assert result.direct_sum_ok, parts
@@ -168,7 +168,7 @@ def test_criterion_7_dimension_sweep():
 
 def test_criterion_8_covering_sweep():
     for parts, ct in every_tableau(9):
-        result = covering_check(ct)
+        result = covering_check(ct, excluded_roots(ct))
         assert result.ok and result.labels_ok, (parts, result.to_json())
     report(8, "covering of unstarred exclusions and label sanity hold (n<=9)")
 
@@ -178,8 +178,9 @@ def test_criterion_9_injectivity_sweep():
     for n in range(1, 9):
         for parts in compositions_of(n):
             tableaux = component_tableaux(parts)
-            for a, b in combinations(tableaux, 2):
-                witness = injectivity_witness(a, b)
+            roots = [excluded_roots(ct) for ct in tableaux]
+            for a, b in combinations(range(len(tableaux)), 2):
+                witness = injectivity_witness(tableaux[a], tableaux[b], roots[a], roots[b])
                 assert witness.ok, (parts, witness.to_json())
                 pairs += 1
     report(9, f"injectivity witness pipeline succeeded on {pairs} tableau pairs (n<=8)")

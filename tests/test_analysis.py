@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 from random import Random
 
@@ -16,7 +17,10 @@ from nilfibre.analysis import (
     tangent_dimension,
 )
 from nilfibre.builder import component_tableaux
+from nilfibre.conformance import compositions_of
 from nilfibre.core import InvalidInput, diagram_of, neighbouring_pairs
+from nilfibre.linalg import exact_rank
+from nilfibre.roots import ExcludedRootSet, excluded_roots
 
 compositions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple)
 
@@ -36,9 +40,9 @@ def one_matrix(n, support):
 
 def test_covering_2112():
     ct = by_stars((2, 1, 1, 2), {(3, 4), (3, 6)})
-    part = label_partition(ct)
+    part = label_partition(ct, excluded_roots(ct))
     assert part.z_set == {(4, 6)}
-    report = covering_check(ct)
+    report = covering_check(ct, excluded_roots(ct))
     assert report.ok and report.labels_ok and report.unique_row_cover
     assert (4, 5) in ct.e_support  # the cover sits left of (4,6) in row 4
 
@@ -46,28 +50,28 @@ def test_covering_2112():
 def test_covering_superfluous_secondary():
     # the superfluous secondary exclusion (1,3) is covered by the one at (1,2)
     ct = by_stars((1, 2, 1, 2), {(2, 4), (3, 4)})
-    part = label_partition(ct)
+    part = label_partition(ct, excluded_roots(ct))
     assert (1, 3) in part.z_set
     assert (1, 2) in ct.e_support
-    assert covering_check(ct).ok
+    assert covering_check(ct, excluded_roots(ct)).ok
 
 
 def test_covering_vacuous():
     (ct,) = component_tableaux((3, 2, 1))
-    report = covering_check(ct)
+    report = covering_check(ct, excluded_roots(ct))
     assert report.ok and not report.uncovered
 
 
 def test_covering_small_sweep(small_compositions):
     for parts in small_compositions:
         for ct in component_tableaux(parts):
-            report = covering_check(ct)
+            report = covering_check(ct, excluded_roots(ct))
             assert report.ok and report.labels_ok and report.unique_row_cover, parts
 
 
 def test_tangent_2112():
     ct = by_stars((2, 1, 1, 2), {(3, 4), (3, 6)})
-    report = tangent_dimension(ct)
+    report = tangent_dimension(ct, excluded_roots(ct))
     assert report.dim_nilradical == 13
     assert report.generators == 2
     assert report.rank_u_plus_ne == 11
@@ -76,7 +80,7 @@ def test_tangent_2112():
 
 def test_tangent_trivial():
     (ct,) = component_tableaux((3, 2, 1))
-    report = tangent_dimension(ct)
+    report = tangent_dimension(ct, excluded_roots(ct))
     assert report.generators == 0
     assert report.rank_u_plus_ne == report.dim_nilradical
     assert report.ok
@@ -84,7 +88,7 @@ def test_tangent_trivial():
 
 def test_tangent_21112_all_three():
     for ct in component_tableaux((2, 1, 1, 1, 2)):
-        report = tangent_dimension(ct)
+        report = tangent_dimension(ct, excluded_roots(ct))
         assert report.rank_u_plus_ne == report.dim_nilradical - 3
         assert report.ok
 
@@ -92,7 +96,68 @@ def test_tangent_21112_all_three():
 def test_tangent_small_sweep(small_compositions):
     for parts in small_compositions:
         for ct in component_tableaux(parts):
-            assert tangent_dimension(ct).ok, parts
+            assert tangent_dimension(ct, excluded_roots(ct)).ok, parts
+
+
+def stacked_dimension(ct, roots):
+    """The dense route: U and Y written out as identity rows beside the
+    bracket rows [E_ij, e], and every stack eliminated as a whole."""
+    diagram = ct.diagram
+    positions = sorted(diagram.nilradical_positions())
+    index = {pos: k for k, pos in enumerate(positions)}
+    dim_m = len(positions)
+
+    def unit(pos):
+        vec = [0] * dim_m
+        vec[index[pos]] = 1
+        return vec
+
+    ne = []
+    for i in range(1, diagram.n + 1):
+        for j in range(i + 1, diagram.n + 1):
+            vec = [0] * dim_m
+            for k, l in ct.e_support:
+                if j == k and (i, l) in index:
+                    vec[index[(i, l)]] += 1
+                if l == i and (k, j) in index:
+                    vec[index[(k, j)]] -= 1
+            if any(vec):
+                ne.append(vec)
+    u = [unit(pos) for pos in roots.u_support]
+    y = [unit(pos) for pos in ct.v_support]
+    rank_ne = exact_rank(ne)
+    rank_u_ne = exact_rank(u + ne)
+    rank_all = exact_rank(u + ne + y)
+    return (
+        rank_u_ne,
+        rank_all == dim_m and rank_u_ne + len(y) == dim_m,
+        exact_rank(ne + y) == rank_ne + len(y),
+    )
+
+
+def test_tangent_ranks_match_stacked_route():
+    # genuine data, a trimmed excluded set (its dropped position joins U and
+    # may also be starred), a starred set widened to the whole nilradical and
+    # one with a star moved into U, so the False branches are compared too
+    outcomes = set()
+    for parts in (p for n in range(1, 9) for p in compositions_of(n)):
+        for ct in component_tableaux(parts):
+            roots = excluded_roots(ct)
+            nilradical = ct.diagram.nilradical_positions()
+            cases = [(ct, roots), (replace(ct, v_support=nilradical), roots)]
+            if roots.excluded:
+                smaller = roots.excluded - {min(roots.excluded)}
+                trimmed = ExcludedRootSet(ct.diagram, roots.by_generator, smaller, nilradical - smaller)
+                cases.append((ct, trimmed))
+            if ct.v_support and roots.u_support:
+                moved = ct.v_support - {min(ct.v_support)} | {min(roots.u_support)}
+                cases.append((replace(ct, v_support=moved), roots))
+            for tableau, root_set in cases:
+                report = tangent_dimension(tableau, root_set)
+                fast = (report.rank_u_plus_ne, report.direct_sum_ok, report.ne_meets_y_trivially)
+                assert fast == stacked_dimension(tableau, root_set), (parts, sorted(tableau.v_support))
+                outcomes.add(fast[1:])
+    assert {(True, True), (False, True), (False, False)} <= outcomes
 
 
 def test_jordan_types_21112():
@@ -122,7 +187,7 @@ def test_jordan_rejects_non_strict():
 def test_orbital_21112():
     statuses = []
     for ct in component_tableaux((2, 1, 1, 1, 2)):
-        report = orbital_variety_test(ct, rng=Random(0))
+        report = orbital_variety_test(ct, excluded_roots(ct), rng=Random(0))
         statuses.append(report.status)
         if report.status == "orbital":
             assert report.complement_bracket_closed
@@ -131,12 +196,12 @@ def test_orbital_21112():
 
 def test_orbital_trivial():
     (ct,) = component_tableaux((1,))
-    assert orbital_variety_test(ct, rng=Random(0)).status == "trivial"
+    assert orbital_variety_test(ct, excluded_roots(ct), rng=Random(0)).status == "trivial"
 
 
 def test_injectivity_2112():
     a, b = component_tableaux((2, 1, 1, 2))
-    w = injectivity_witness(a, b)
+    w = injectivity_witness(a, b, excluded_roots(a), excluded_roots(b))
     assert w.ok
     assert w.exchanged == (2, 3)
     assert {w.line_low, w.line_rightmost} == {(2, 4), (3, 6)}
@@ -148,7 +213,7 @@ def test_injectivity_321321():
     ts = component_tableaux(parts)
     c5 = next(t for t in ts if t.pair_entry()[pair] == 5)
     c8 = next(t for t in ts if t.pair_entry()[pair] == 8)
-    w = injectivity_witness(c5, c8)
+    w = injectivity_witness(c5, c8, excluded_roots(c5), excluded_roots(c8))
     assert w.ok
     assert w.line_rightmost == (8, 11)
 
@@ -159,7 +224,7 @@ def test_injectivity_321312():
     ts = component_tableaux(parts)
     c5 = next(t for t in ts if t.pair_entry()[pair] == 5)
     c8 = next(t for t in ts if t.pair_entry()[pair] == 8)
-    w = injectivity_witness(c5, c8)
+    w = injectivity_witness(c5, c8, excluded_roots(c5), excluded_roots(c8))
     assert w.ok
     assert w.line_rightmost == (8, 10)
 
@@ -167,14 +232,14 @@ def test_injectivity_321312():
 def test_injectivity_rejects_same_data():
     a, b = component_tableaux((2, 1, 1, 2))
     with pytest.raises(InvalidInput):
-        injectivity_witness(a, a)
+        injectivity_witness(a, a, excluded_roots(a), excluded_roots(a))
 
 
 def test_injectivity_small_sweep(small_compositions):
     for parts in small_compositions:
         ts = component_tableaux(parts)
         for a, b in combinations(ts, 2):
-            assert injectivity_witness(a, b).ok, parts
+            assert injectivity_witness(a, b, excluded_roots(a), excluded_roots(b)).ok, parts
 
 
 def test_partition_disjoint_variables(small_compositions):
@@ -187,6 +252,6 @@ def test_partition_disjoint_variables(small_compositions):
 @settings(max_examples=25, deadline=None)
 def test_dimension_report_consistency(parts):
     for ct in component_tableaux(parts):
-        report = tangent_dimension(ct)
+        report = tangent_dimension(ct, excluded_roots(ct))
         assert report.ok
         assert report.rank_u_plus_ne + len(ct.v_support) == report.dim_nilradical

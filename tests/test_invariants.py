@@ -15,14 +15,13 @@ from nilfibre.core import (
 )
 from nilfibre.invariants import (
     chain_support,
-    evaluate,
     extract_invariant,
     invariant_for,
     symbolic_minor,
     vanishing_check,
     weierstrass_check,
 )
-from nilfibre.poly import Poly
+from nilfibre.poly import Poly, evaluate
 from nilfibre.roots import excluded_roots
 
 compositions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple)

@@ -128,6 +128,13 @@ def test_empty_check_list_is_a_usage_error(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--threads", "--symbolic-max-n"])
+def test_enumerate_rejects_options_it_does_not_read(tmp_path, flag):
+    out = tmp_path / "report"
+    assert main(["enumerate", "--composition", "1,2,1", flag, "1", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -225,6 +232,26 @@ def test_invariant_disk_cache(tmp_path, monkeypatch):
         pytest.param(
             '{"degree": 1, "d_D": 1, "polynomial": [{"coeff": 1, "vars": [[3, 4]], "aPow": 0}]}',
             id="wrong-valuation",
+        ),
+        pytest.param(
+            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[3, 4]], "aPow": 2}]}',
+            id="a-power",
+        ),
+        pytest.param(
+            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 0.5, "vars": [[3, 4]], "aPow": 0}]}',
+            id="float-coefficient",
+        ),
+        pytest.param(
+            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[1, 2]], "aPow": 0}]}',
+            id="levi-position",
+        ),
+        pytest.param(
+            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[1, 3]], "aPow": 0}]}',
+            id="outside-interval",
+        ),
+        pytest.param(
+            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[4, 3]], "aPow": 0}]}',
+            id="below-diagonal",
         ),
     ],
 )

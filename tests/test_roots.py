@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilfibre import roots as roots_module
 from nilfibre.builder import component_tableaux
+from nilfibre.conformance import compositions_of, verify_composition
+from nilfibre.core import Composition
 from nilfibre.core import (
     ConstructionViolation,
     InvalidInput,
@@ -19,6 +22,7 @@ from nilfibre.roots import (
     penetrating_string,
     shifted_tableau,
     special_star_line,
+    trail_exclusions,
     word_form,
 )
 
@@ -157,18 +161,53 @@ def test_penetration_halting_excludes_later_steps():
     parts = (3, 2, 1, 3, 2, 1)
     pair = pair_of(parts, 2)
     ct = next(t for t in component_tableaux(parts) if t.pair_entry()[pair] == 5)
-    rec = penetrating_string(ct, pair)
-    assert rec.excluded == {(4, 8), (4, 9), (5, 8), (5, 9), (6, 8), (6, 9)}
-    assert (7, 11) in excluded_roots(ct).excluded
-    assert (7, 11) not in rec.excluded
+    roots = excluded_roots(ct)
+    specific = trail_exclusions(roots, penetrating_string(ct, pair))
+    assert specific == {(4, 8), (4, 9), (5, 8), (5, 9), (6, 8), (6, 9)}
+    assert (7, 11) in roots.excluded
+    assert (7, 11) not in specific
+
+
+def test_trail_exclusions_match_rederived_steps():
+    # the per-move exclusions of the tableau, read for a trail's steps, equal
+    # the exclusions derived afresh from those steps
+    for parts in (p for n in range(1, 10) for p in compositions_of(n)):
+        for ct in component_tableaux(parts):
+            roots = excluded_roots(ct)
+            for pair in neighbouring_pairs(ct.diagram):
+                rec = penetrating_string(ct, pair)
+                rederived = frozenset(
+                    p
+                    for m in rec.steps
+                    for p in roots_module._generator_exclusions(
+                        ct.diagram, m.entry, m.star_targets, m.target_col
+                    ).all
+                )
+                assert trail_exclusions(roots, rec) == rederived, (parts, pair)
+
+
+def test_exclusions_derived_once_per_move(monkeypatch):
+    parts = (2, 1, 2, 1, 2, 1)
+    moves = sum(len(ct.moves) for ct in component_tableaux(parts))
+    original = roots_module._generator_exclusions
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(roots_module, "_generator_exclusions", counted)
+    report = verify_composition(Composition(parts))
+    assert report["pass"]
+    assert len(calls) == moves
 
 
 def test_specific_set_within_global(small_compositions):
     for parts in small_compositions:
         for ct in component_tableaux(parts):
-            globally = excluded_roots(ct).excluded
+            roots = excluded_roots(ct)
             for pair in neighbouring_pairs(ct.diagram):
-                assert penetrating_string(ct, pair).excluded <= globally
+                assert trail_exclusions(roots, penetrating_string(ct, pair)) <= roots.excluded
 
 
 def test_hatted_13212():
@@ -195,10 +234,11 @@ def test_hatted_exclusions_union_of_steps(small_compositions):
     # the amalgamated tableau carries exactly the union of the step exclusions
     for parts in small_compositions:
         for ct in component_tableaux(parts):
+            roots = excluded_roots(ct)
             for pair in neighbouring_pairs(ct.diagram):
-                rec = penetrating_string(ct, pair)
+                specific = trail_exclusions(roots, penetrating_string(ct, pair))
                 ht = hatted_tableau(ct, pair)
-                assert excluded_from_word(ht.word(), ct.diagram) == rec.excluded, (parts, pair)
+                assert excluded_from_word(ht.word(), ct.diagram) == specific, (parts, pair)
 
 
 def test_virtual_degree_drop(small_compositions):
