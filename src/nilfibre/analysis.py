@@ -8,10 +8,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .core import Diagram, InvalidInput, NeighbouringPair, Pos, neighbouring_pairs
+from .core import (
+    Diagram,
+    InternalConsistencyError,
+    InvalidInput,
+    NeighbouringPair,
+    Pos,
+    neighbouring_pairs,
+)
 from .builder import ComponentTableau
 from .invariants import evaluate_at_section_point, invariant_for
-from .linalg import exact_rank, mat_mul
+from .linalg import exact_rank, row_basis
 from .roots import (
     ExcludedRootSet,
     bracket_closure_violations,
@@ -77,32 +84,33 @@ def covering_check(ct: ComponentTableau, roots: ExcludedRootSet) -> CoveringRepo
     return CoveringReport(not uncovered, part.sane(), uncovered, unique)
 
 
-def _one_matrix(diagram: Diagram, support: frozenset[Pos]) -> list[list[int]]:
-    n = diagram.n
-    mat = [[0] * n for _ in range(n)]
-    for i, j in support:
-        mat[i - 1][j - 1] = 1
-    return mat
-
-
 def jordan_type(matrix: list[list[int]]) -> tuple[int, ...]:
     """Jordan partition of a strictly upper-triangular matrix from the ranks
-    of its powers."""
+    of its powers.  The rows of a basis of the row space of X^k, times X,
+    span that of X^(k+1), so no power is formed: each rank after rank(X) is
+    the size of a row basis of the previous basis times X."""
     n = len(matrix)
     for i in range(n):
         for j in range(i + 1):
             if matrix[i][j] != 0:
                 raise InvalidInput("matrix is not strictly upper triangular")
-    blocks_at_least = []  # conjugate partition: number of blocks of size >= k
-    power = matrix
-    prev_rank = n  # rank of the identity
-    while True:
-        rank = exact_rank(power)
-        blocks_at_least.append(prev_rank - rank)
-        if rank == 0:
-            break
-        prev_rank = rank
-        power = mat_mul(power, matrix)
+    entries = [[(j, x) for j, x in enumerate(row) if x] for row in matrix]
+    rank = exact_rank(matrix)
+    blocks_at_least = [n - rank]  # conjugate partition: number of blocks of size >= k
+    basis = matrix
+    while rank:
+        product = []
+        for row in basis:
+            out = [0] * n
+            for k, a in enumerate(row):
+                if a:
+                    for j, x in entries[k]:
+                        out[j] += a * x
+            if any(out):
+                product.append(out)
+        basis = row_basis(product)
+        blocks_at_least.append(rank - len(basis))
+        rank = len(basis)
     partition: list[int] = []
     for k, count in enumerate(blocks_at_least, start=1):
         next_count = blocks_at_least[k] if k < len(blocks_at_least) else 0
@@ -145,57 +153,82 @@ class DimensionReport:
         }
 
 
+def _forest_size(edges: list[tuple[Pos | None, Pos | None]], ground: frozenset[Pos]) -> int:
+    """Edges in a spanning forest of the graph with these edges, where None
+    and the vertices in ``ground`` are one ground vertex: the rank of the
+    rows that are +1 and -1 at the two ends, with the ground's coordinates
+    deleted."""
+    parent: dict[Pos | None, Pos | None] = dict.fromkeys(ground)
+    parent[None] = None
+
+    def find(v: Pos | None) -> Pos | None:
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    size = 0
+    for a, b in edges:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+            size += 1
+    return size
+
+
 def tangent_dimension(ct: ComponentTableau, roots: ExcludedRootSet) -> DimensionReport:
     """Exact ranks behind the dimension count: the support space plus the
     bracket image of the one-matrix misses exactly the starred span.  U and Y
     are coordinate spans, so rank(S + NE) = |S| + rank(NE without S's
-    coordinates) for S = U, Y, U + Y: only the bracket rows are eliminated."""
+    coordinates) for S = U, Y, U + Y.
+
+    The one-matrix e is a partial permutation, so the bracket row [E_ij, e]
+    is +1 at (i, l) for the (j, l) in e and -1 at (k, j) for the (k, i) in e:
+    an edge between two nilradical coordinates, or to a ground vertex where
+    an end is missing or deleted.  The rank of such an incidence matrix is
+    the size of a spanning forest (Biggs, Algebraic Graph Theory, ch. 4), and
+    e's Jordan type is the lengths of its chains."""
     diagram = ct.diagram
     nilradical = diagram.nilradical_positions()
-    positions = sorted(nilradical)
-    dim_m = len(positions)
+    dim_m = len(nilradical)
     g = len(neighbouring_pairs(diagram))
 
-    # [E_ij, e] projected onto the nilradical coordinates as a sparse row; e is
-    # strictly upper triangular, so no coordinate is hit twice
-    brackets = []
+    successor = dict(ct.e_support)
+    predecessor = {l: k for k, l in ct.e_support}
+    if not len(successor) == len(predecessor) == len(ct.e_support):
+        raise InternalConsistencyError("the one-matrix repeats a row or a column")
+
+    edges = []
     for i in range(1, diagram.n + 1):
         for j in range(i + 1, diagram.n + 1):
-            vec: dict[Pos, int] = {}
-            for k, l in ct.e_support:
-                if j == k and (i, l) in nilradical:
-                    vec[(i, l)] = 1
-                if l == i and (k, j) in nilradical:
-                    vec[(k, j)] = -1
-            if vec:
-                brackets.append(vec)
-
-    def rank_with_units(units: frozenset[Pos]) -> int:
-        column = {pos: k for k, pos in enumerate(p for p in positions if p not in units)}
-        rows = []
-        for vec in brackets:
-            row = [0] * len(column)
-            for pos, value in vec.items():
-                if pos in column:
-                    row[column[pos]] = value
-            if any(row):
-                rows.append(row)
-        return len(units) + exact_rank(rows)
+            plus = (i, successor[j]) if j in successor else None
+            minus = (predecessor[i], j) if i in predecessor else None
+            edge = (plus if plus in nilradical else None, minus if minus in nilradical else None)
+            if edge != (None, None):
+                edges.append(edge)
 
     u_set, y_set = roots.u_support, ct.v_support
-    rank_ne = rank_with_units(frozenset())
-    rank_u_ne = rank_with_units(u_set)
-    rank_ne_y = rank_with_units(y_set)
-    rank_all = rank_with_units(u_set | y_set)
+    rank_ne = _forest_size(edges, frozenset())
+    rank_u_ne = len(u_set) + _forest_size(edges, u_set)
+    rank_ne_y = len(y_set) + _forest_size(edges, y_set)
+    rank_all = len(u_set | y_set) + _forest_size(edges, u_set | y_set)
 
-    jordan = jordan_type(_one_matrix(diagram, ct.e_support))
+    chains = []
+    for start in range(1, diagram.n + 1):
+        if start not in predecessor:
+            length = 1
+            while start in successor:
+                start = successor[start]
+                length += 1
+            chains.append(length)
     return DimensionReport(
         dim_nilradical=dim_m,
         generators=g,
         rank_u_plus_ne=rank_u_ne,
         direct_sum_ok=rank_all == dim_m and rank_u_ne + len(y_set) == dim_m,
         ne_meets_y_trivially=rank_ne_y == rank_ne + len(y_set),
-        jordan_of_e=jordan,
+        jordan_of_e=tuple(sorted(chains, reverse=True)),
     )
 
 

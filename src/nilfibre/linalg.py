@@ -1,14 +1,15 @@
-"""Exact integer linear algebra: fraction-free rank, determinants, matrix powers."""
+"""Exact integer linear algebra: fraction-free row bases and ranks, determinants."""
 
 from __future__ import annotations
 
 from math import gcd
 
 
-def exact_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals by fraction-free elimination."""
+def row_basis(rows: list[list[int]]) -> list[list[int]]:
+    """Echelon rows spanning the row space of ``rows`` over the rationals, by
+    fraction-free elimination; there are as many as the rank."""
     if not rows:
-        return 0
+        return []
     work = [list(r) for r in rows]
     ncols = len(work[0])
     rank = 0
@@ -33,7 +34,12 @@ def exact_rank(rows: list[list[int]]) -> int:
             work[r] = row
         rank += 1
         col += 1
-    return rank
+    return work[:rank]
+
+
+def exact_rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals by fraction-free elimination."""
+    return len(row_basis(rows))
 
 
 def bareiss_det(matrix: list[list[int]]) -> int:
@@ -58,19 +64,3 @@ def bareiss_det(matrix: list[list[int]]) -> int:
         prev = work[k][k]
     return sign * work[n - 1][n - 1]
 
-
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        row = a[i]
-        acc = out[i]
-        for k in range(n):
-            aik = row[k]
-            if aik == 0:
-                continue
-            brow = b[k]
-            for j in range(n):
-                if brow[j]:
-                    acc[j] += aik * brow[j]
-    return out

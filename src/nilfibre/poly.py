@@ -9,6 +9,8 @@ arbitrary-precision integers and zero coefficients are never stored.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .core import InternalConsistencyError, InvalidInput, Pos
 
 Mono = tuple[int, tuple[Pos, ...]]
@@ -160,7 +162,12 @@ class Poly:
     @classmethod
     def from_json(cls, records: list[dict]) -> "Poly":
         """Inverse of ``to_json``; raises ``ValueError`` on a monomial that
-        repeats a position."""
+        repeats a position or has a position entry that is not an ``int``."""
+        # one pass over every entry at C speed: a float or a bool would
+        # compare and hash equal to an int and be written back as it came
+        entries = chain.from_iterable(chain.from_iterable(record["vars"] for record in records))
+        if set(map(type, entries)) - {int}:
+            raise ValueError("a position entry is not an int")
         terms: dict[Mono, int] = {}
         for record in records:
             vars_ = tuple(sorted((i, j) for i, j in record["vars"]))

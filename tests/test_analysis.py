@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nilfibre.analysis as analysis
 from nilfibre.analysis import (
     covering_check,
     injectivity_witness,
@@ -17,8 +18,8 @@ from nilfibre.analysis import (
     tangent_dimension,
 )
 from nilfibre.builder import component_tableaux
-from nilfibre.conformance import compositions_of
-from nilfibre.core import InvalidInput, diagram_of, neighbouring_pairs
+from nilfibre.conformance import compositions_of, verify_composition
+from nilfibre.core import Composition, InternalConsistencyError, InvalidInput, diagram_of, neighbouring_pairs
 from nilfibre.linalg import exact_rank
 from nilfibre.roots import ExcludedRootSet, excluded_roots
 
@@ -140,7 +141,7 @@ def test_tangent_ranks_match_stacked_route():
     # may also be starred), a starred set widened to the whole nilradical and
     # one with a star moved into U, so the False branches are compared too
     outcomes = set()
-    for parts in (p for n in range(1, 9) for p in compositions_of(n)):
+    for parts in (p for n in range(1, 10) for p in compositions_of(n)):
         for ct in component_tableaux(parts):
             roots = excluded_roots(ct)
             nilradical = ct.diagram.nilradical_positions()
@@ -158,6 +159,96 @@ def test_tangent_ranks_match_stacked_route():
                 assert fast == stacked_dimension(tableau, root_set), (parts, sorted(tableau.v_support))
                 outcomes.add(fast[1:])
     assert {(True, True), (False, True), (False, False)} <= outcomes
+
+
+def test_tangent_rejects_a_one_matrix_that_is_no_partial_permutation():
+    ct = by_stars((2, 1, 1, 2), {(3, 4), (3, 6)})
+    roots = excluded_roots(ct)
+    i, j = min(ct.e_support)
+    same_row = next((i, l) for l in range(i + 1, 7) if (i, l) not in ct.e_support)
+    same_column = next((k, j) for k in range(1, j) if (k, j) not in ct.e_support)
+    for extra in (same_row, same_column):
+        with pytest.raises(InternalConsistencyError, match="repeats a row or a column"):
+            tangent_dimension(replace(ct, e_support=ct.e_support | {extra}), roots)
+
+
+def mat_mul(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def jordan_by_powers(matrix):
+    """The dense route: the number of blocks of size k is
+    rank(X^(k-1)) - 2 rank(X^k) + rank(X^(k+1)), every power formed in full."""
+    ranks = [len(matrix)]
+    power = matrix
+    while ranks[-1]:
+        ranks.append(exact_rank(power))
+        power = mat_mul(power, matrix)
+    ranks.append(0)
+    sizes = []
+    for k in range(1, len(ranks) - 1):
+        sizes += [k] * (ranks[k - 1] - 2 * ranks[k] + ranks[k + 1])
+    return tuple(sorted(sizes, reverse=True))
+
+
+def jordan_block(size):
+    return [[int(j == i + 1) for j in range(size)] for i in range(size)]
+
+
+@pytest.mark.parametrize(
+    "matrix, expected",
+    [([[0] * 5 for _ in range(5)], (1,) * 5)]
+    + [(jordan_block(size), (size,)) for size in range(1, 9)]
+    + [([[0, 0, 2, 3], [0, 0, 2, 3], [0, 0, 0, 5], [0, 0, 0, 0]], (3, 1))],
+    ids=["zero"] + [f"block-{size}" for size in range(1, 9)] + ["repeated-rows"],
+)
+def test_jordan_type_matches_powers_route(matrix, expected):
+    assert jordan_type(matrix) == jordan_by_powers(matrix) == expected
+
+
+def test_jordan_type_matches_powers_route_on_orbital_samples(monkeypatch):
+    # every matrix the orbital check draws for the reports at seed 0
+    seen = []
+
+    def checked(matrix):
+        result = jordan_type(matrix)
+        assert result == jordan_by_powers(matrix), matrix
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(analysis, "jordan_type", checked)
+    for parts in (p for n in range(1, 10) for p in compositions_of(n)):
+        verify_composition(Composition(parts), checks=("orbital",), seed=0)
+    assert len(seen) > 1000 and len(set(seen)) > 20
+
+
+def test_jordan_of_e_matches_jordan_type():
+    for parts in (p for n in range(1, 10) for p in compositions_of(n)):
+        for ct in component_tableaux(parts):
+            report = tangent_dimension(ct, excluded_roots(ct))
+            assert report.jordan_of_e == jordan_type(one_matrix(ct.diagram.n, ct.e_support)), parts
+
+
+def test_dimension_and_orbital_checks_skip_dense_elimination(monkeypatch):
+    calls = {"exact_rank": 0, "row_basis": 0, "jordan_type": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(analysis, name, wrapper)
+
+    for name in calls:
+        counted(name, getattr(analysis, name))
+    for parts in (p for n in range(1, 9) for p in compositions_of(n)):
+        for ct in component_tableaux(parts):
+            tangent_dimension(ct, excluded_roots(ct))
+    assert calls == {"exact_rank": 0, "row_basis": 0, "jordan_type": 0}
+    verify_composition(Composition((2, 1, 2, 1, 2, 1)))
+    assert calls["jordan_type"] > 0
+    assert calls["exact_rank"] == calls["jordan_type"]
 
 
 def test_jordan_types_21112():

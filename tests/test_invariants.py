@@ -138,6 +138,13 @@ def test_repeated_position_is_rejected():
         Poly.from_json([{"coeff": 1, "vars": [[1, 2], [2, 3], [1, 2]], "aPow": 0}])
 
 
+@pytest.mark.parametrize("position", [[3.0, 4], [3, 4.0], [True, 4], [3, "4"]])
+def test_from_json_rejects_a_position_entry_that_is_no_int(position):
+    with pytest.raises(ValueError, match="not an int"):
+        Poly.from_json([{"coeff": 1, "vars": [[1, 2], position], "aPow": 0}])
+    assert Poly.from_json([{"coeff": 1, "vars": [[1, 2], [3, 4]], "aPow": 0}]) == Poly.var((1, 2)) * Poly.var((3, 4))
+
+
 def test_evaluate_rejects_unknown_variable():
     d = diagram_of((1, 2, 1))
     rec = extract_invariant(d, the_pair((1, 2, 1), 1))

@@ -253,6 +253,10 @@ def test_invariant_disk_cache(tmp_path, monkeypatch):
             '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[4, 3]], "aPow": 0}]}',
             id="below-diagonal",
         ),
+        pytest.param(
+            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[3.0, 4]], "aPow": 0}]}',
+            id="float-position",
+        ),
     ],
 )
 def test_invariant_disk_cache_rewrites_corrupt_entries(tmp_path, monkeypatch, content):
@@ -271,7 +275,7 @@ def test_invariant_disk_cache_rewrites_corrupt_entries(tmp_path, monkeypatch, co
     again = invariants.invariant_for(parts, pair)
     invariants.invariant_for.cache_clear()
     assert again == expected
-    assert json.loads(entry.read_text()) == expected.to_json()
+    assert entry.read_text() == json.dumps(expected.to_json())
 
 
 def test_interrupted_cache_write_leaves_the_old_entry(tmp_path):
