@@ -23,7 +23,6 @@ from .builder import (
     decorate,
     enumerate_component_tableaux,
     extend_all,
-    strings,
 )
 from .roots import (
     ExcludedRootSet,

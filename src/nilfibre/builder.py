@@ -9,8 +9,15 @@ by the move.  Entries that remain in row T+1 afterwards slide right, one
 column at a time, into first-empty boxes.  Each compatible set of lowering
 choices opens one branch; a branch survives only when every neighbouring
 pair has been consumed exactly once by the time the tableau stabilizes.
-Every enumeration also checks that each free pair of height s can be
-consumed by some admissible move at stage s, and raises otherwise.
+
+A free pair of height s can be consumed at a stage t > s only by a
+multi-row descent into one of the columns left+1..right of the pair, and
+only into one whose original height is t.  Once the stage reaches the
+tallest of those columns, the pair is forced: only the choices that consume
+it are branched on, so no branch that strands a pair is ever built.  At
+every visited node, before the choices are made, the search checks that
+each free pair of height t can be consumed by some admissible move at stage
+t, and raises otherwise.
 
 Lowered entries are joined by a vertical line labelled ``*`` to the bottom
 original entries of the column they enter; entries whose trail ends at a
@@ -215,12 +222,14 @@ def _candidates(diagram: Diagram, state: _State, stage: int) -> list[Move]:
     return moves
 
 
-def _subsets(moves: list[Move]):
-    """All pairwise-compatible subsets, canonical (include-first) order."""
+def _subsets(moves: list[Move], forced: set[NeighbouringPair]):
+    """The pairwise-compatible subsets that consume every ``forced`` pair,
+    canonical (include-first) order."""
 
     def rec(idx: int, chosen: list[Move], targets: set[int], pairs: set[NeighbouringPair]):
         if idx == len(moves):
-            yield list(chosen)
+            if forced <= pairs:
+                yield list(chosen)
             return
         move = moves[idx]
         own = {p for _, p in move.consumed}
@@ -261,10 +270,19 @@ def _translate(state: _State, stage: int) -> bool:
 def extend_all(diagram: Diagram) -> tuple[ExtendedTableau, ...]:
     """Enumerate every limit tableau of the diagram, depth first over the
     lowering choices of each stage.  Every result consumes each neighbouring
-    pair exactly once; branches that strand a pair are discarded.  Raises
-    when a free pair has no admissible move at the stage of its height."""
+    pair exactly once.
+
+    A pair p of height s left free past stage t can only be consumed later
+    by a multi-row descent into a column of ``p.left+1..p.right`` whose
+    original height is the stage of the move.  So once the stage reaches
+    ``reach[p]``, the tallest of those columns (at least s), p is forced:
+    every subset of the stage must consume it, and subsets that do not are
+    never branched on.  At each visited node the free-pair guard runs before
+    that: it raises when a free pair of height t has no admissible move at
+    stage t."""
     pairs = neighbouring_pairs(diagram)
     all_pairs = frozenset(pairs)
+    reach = {p: max(diagram.height(c) for c in range(p.left + 1, p.right + 1)) for p in pairs}
     max_height = diagram.max_height
     hard_cap = max_height + len(all_pairs) + 2
     results: list[ExtendedTableau] = []
@@ -288,7 +306,8 @@ def extend_all(diagram: Diagram) -> tuple[ExtendedTableau, ...]:
         for pair in pairs:
             if pair.height == stage and pair not in state.used and pair not in usable:
                 raise ConstructionViolation(f"free pair {pair} has no admissible choice at its own stage")
-        for subset in _subsets(candidates):
+        forced = {p for p in pairs if reach[p] <= stage and p not in state.used}
+        for subset in _subsets(candidates, forced):
             branch = state.clone()
             _apply(branch, subset)
             _translate(branch, stage)
@@ -299,11 +318,6 @@ def extend_all(diagram: Diagram) -> tuple[ExtendedTableau, ...]:
 
     run(_State.initial(diagram), 1)
     return tuple(results)
-
-
-def strings(ext: ExtendedTableau) -> dict[int, tuple[tuple[int, int], ...]]:
-    """Per entry, the ordered boxes of its trail through the limit tableau."""
-    return {entry: ext.occurrences(entry) for entry in range(1, ext.diagram.n + 1)}
 
 
 def decorate(ext: ExtendedTableau) -> tuple[DecoratedLine, ...]:

@@ -12,7 +12,6 @@ from nilfibre.builder import (
     decorate,
     enumerate_component_tableaux,
     extend_all,
-    strings,
 )
 from nilfibre.conformance import compositions_of
 from nilfibre.core import ConstructionViolation, diagram_of, neighbouring_pairs
@@ -52,8 +51,35 @@ def test_enumeration_counts(parts, count):
 
 
 def test_tableau_totals_per_n():
-    totals = [sum(len(extend_all(diagram_of(parts))) for parts in compositions_of(n)) for n in range(1, 11)]
-    assert totals == [1, 2, 4, 8, 16, 36, 76, 165, 370, 839]
+    totals = [sum(len(extend_all(diagram_of(parts))) for parts in compositions_of(n)) for n in range(1, 13)]
+    assert totals == [1, 2, 4, 8, 16, 36, 76, 165, 370, 839, 1923, 4493]
+
+
+def test_pruned_search_matches_unpruned(monkeypatch):
+    # With no pair forced, the search clones every branch, stranding ones
+    # included, and runs the free-pair guard at each of their nodes.
+    diagrams = [diagram_of(parts) for n in range(1, 12) for parts in compositions_of(n)]
+    pruned = [extend_all(diagram) for diagram in diagrams]
+    subsets = builder._subsets
+    monkeypatch.setattr(builder, "_subsets", lambda moves, forced: subsets(moves, set()))
+    assert [extend_all(diagram) for diagram in diagrams] == pruned
+
+
+def test_search_skips_stranding_branches(monkeypatch):
+    # every visited node lists its candidates once; the unpruned search
+    # visits 15,062 nodes here
+    calls = 0
+    candidates = builder._candidates
+
+    def counted(diagram, state, stage):
+        nonlocal calls
+        calls += 1
+        return candidates(diagram, state, stage)
+
+    monkeypatch.setattr(builder, "_candidates", counted)
+    for parts in compositions_of(10):
+        extend_all(diagram_of(parts))
+    assert calls == 3191
 
 
 def test_canonical_tableau_121():
@@ -116,14 +142,13 @@ def test_collapse_identity_for_trivial():
 
 def test_strings_1212():
     ct = by_stars((1, 2, 1, 2), {(2, 4), (2, 6)})
-    trails = strings(ct.extended)
-    assert trails[2] == ((1, 1), (2, 2), (3, 3))
-    assert trails[1] == ((0, 1),)
+    assert ct.extended.occurrences(2) == ((1, 1), (2, 2), (3, 3))
+    assert ct.extended.occurrences(1) == ((0, 1),)
 
 
 def test_strings_21121_two_row_descent():
     ct = by_stars((2, 1, 1, 2, 1), {(3, 4), (4, 5), (4, 6)})
-    trail = strings(ct.extended)[4]
+    trail = ct.extended.occurrences(4)
     assert trail[0] == (2, 1)
     assert (3, 3) in trail  # dropped two rows in one step
 
@@ -158,8 +183,7 @@ def test_every_pair_used_exactly_once(parts):
 def test_non_crossing_strings(parts):
     # strings sharing two columns keep their vertical order in both
     for ct in component_tableaux(parts):
-        trails = strings(ct.extended)
-        occ = {e: dict(t) for e, t in ((e, tuple(t)) for e, t in trails.items())}
+        occ = {e: dict(ct.extended.occurrences(e)) for e in range(1, ct.diagram.n + 1)}
         entries = list(occ)
         for a in range(len(entries)):
             for b in range(a + 1, len(entries)):
@@ -174,8 +198,7 @@ def test_non_crossing_strings(parts):
 def test_starting_places(parts):
     # if one string runs below another in a shared column it started weakly left
     for ct in component_tableaux(parts):
-        trails = strings(ct.extended)
-        occ = {e: dict(t) for e, t in trails.items()}
+        occ = {e: dict(ct.extended.occurrences(e)) for e in range(1, ct.diagram.n + 1)}
         for e1 in occ:
             for e2 in occ:
                 if e1 == e2:
