@@ -17,7 +17,7 @@ from .core import (
     neighbouring_pairs,
 )
 from .builder import ComponentTableau
-from .invariants import evaluate_at_section_point, invariant_for
+from .invariants import DEFAULT_SYMBOLIC_MAX_N, generator_vanishes, invariant_for, restricted_generator
 from .linalg import exact_rank, row_basis
 from .roots import (
     ExcludedRootSet,
@@ -319,7 +319,11 @@ class InjectivityWitness:
 
 
 def injectivity_witness(
-    ct_a: ComponentTableau, ct_b: ComponentTableau, roots_a: ExcludedRootSet, roots_b: ExcludedRootSet
+    ct_a: ComponentTableau,
+    ct_b: ComponentTableau,
+    roots_a: ExcludedRootSet,
+    roots_b: ExcludedRootSet,
+    symbolic_max_n: int = DEFAULT_SYMBOLIC_MAX_N,
 ) -> InjectivityWitness:
     """Separate two tableaux of one composition along their first differing
     batch: exchanged labels, clearance of the upper-right quadrant of the
@@ -359,9 +363,10 @@ def injectivity_witness(
         k <= i_p and l >= j_p and (k, l) != (i_p, j_p) for k, l in excluded
     )
 
-    invariant = invariant_for(ct_low.diagram.parts, pair)
-    specific = invariant.polynomial.substitute({p: 0 for p in excluded}).is_zero()
-    value = evaluate_at_section_point(invariant, ct_high.e_support, line_rightmost)
+    diagram = ct_low.diagram
+    specific = generator_vanishes(diagram, pair, excluded, symbolic_max_n)
+    section_point = ct_high.e_support | {line_rightmost}
+    value = restricted_generator(diagram, pair, frozenset(), section_point, symbolic_max_n).constant_value()
     return InjectivityWitness(
         pair,
         exchanged,

@@ -136,14 +136,20 @@ def cmd_sweep(args) -> int:
     return EXIT_PASS
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _thread_count(text: str) -> int:
@@ -164,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=_thread_count, default=1, help="worker processes, at most the CPU count")
     common.add_argument(
         "--symbolic-max-n",
-        type=int,
+        type=_int_at_least(0),
         default=DEFAULT_SYMBOLIC_MAX_N,
         help="largest interval handled by full symbolic expansion",
     )

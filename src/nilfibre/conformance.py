@@ -68,7 +68,7 @@ def verify_composition(
             entry["vanishing"] = result.to_json()
             report["pass"] &= result.ok
         if "weierstrass" in checks:
-            result = weierstrass_check(ct)
+            result = weierstrass_check(ct, symbolic_max_n)
             entry["weierstrass"] = {
                 "ok": result.ok,
                 "variables": [list(r.variable) if r.variable else None for r in result.results],
@@ -94,7 +94,9 @@ def verify_composition(
     if "injectivity" in checks:
         for a in range(len(tableaux)):
             for b in range(a + 1, len(tableaux)):
-                witness = injectivity_witness(tableaux[a], tableaux[b], all_roots[a], all_roots[b])
+                witness = injectivity_witness(
+                    tableaux[a], tableaux[b], all_roots[a], all_roots[b], symbolic_max_n
+                )
                 report["injectivityPairs"].append(
                     {"i": a, "j": b, "witness": witness.to_json()}
                 )

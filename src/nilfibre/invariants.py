@@ -12,6 +12,10 @@ columns.
 Extraction expands the minor only up to a^d, with each term held as a
 parameter power and a bitmask of variables.  ``symbolic_minor`` is the full
 expansion over ``Poly``, kept as the reference the tests compare against.
+For a pair whose interval exceeds ``symbolic_max_n`` the generator is never
+expanded: its restrictions and values come from the same truncated
+expansion on a restricted minor, its sign and zero tests from a min-cost
+perfect matching of the minor's cells.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import inf
 from random import Random
 
 from .core import (
@@ -47,6 +52,13 @@ def _minor_shape(diagram: Diagram, pair: NeighbouringPair):
     entries = list(interval_entries(diagram, pair))
     s = pair.height
     return entries, len(entries), s
+
+
+def _minor_cells(diagram: Diagram, pair: NeighbouringPair) -> list[list]:
+    """The lower-left minor's cells row by row: "a", a position or None."""
+    entries, n_prime, s = _minor_shape(diagram, pair)
+    size = n_prime - s
+    return [[_minor_entry(diagram, r, c, s) for c in entries[:size]] for r in entries[s:]]
 
 
 def _minor_entry(diagram: Diagram, row_entry: int, col_entry: int, s: int):
@@ -131,7 +143,14 @@ def _wrong_degree(pair: NeighbouringPair, degree: int) -> InternalConsistencyErr
     return InternalConsistencyError(f"invariant of {pair} is not of degree {degree}")
 
 
-def _truncated_minor(diagram: Diagram, pair: NeighbouringPair, d: int, degree: int) -> Poly:
+def _truncated_minor(
+    diagram: Diagram,
+    pair: NeighbouringPair,
+    d: int,
+    degree: int,
+    symbolic: frozenset[Pos] | None = None,
+    ones: frozenset[Pos] = frozenset(),
+) -> Poly:
     """Coefficient of ``a^d`` in the lower-left minor, expanded only up to
     that parameter power.
 
@@ -141,16 +160,25 @@ def _truncated_minor(diagram: Diagram, pair: NeighbouringPair, d: int, degree: i
     decrease along the Laplace expansion, so partial terms beyond ``d`` are
     dropped.  Raises when a power below ``d`` survives or a term is not of
     the given degree.
+
+    With ``symbolic`` given, the minor is restricted first: a variable cell
+    whose position is in ``symbolic`` stays symbolic, one in ``ones`` is set
+    to 1 and every other one is dropped.  The cells set to 1 carry bits too,
+    above the symbolic ones, and are stripped when the terms are read back,
+    so both checks above still see every cell of a term.
     """
-    entries, n_prime, s = _minor_shape(diagram, pair)
-    size = n_prime - s
-    rows, cols = entries[s:], entries[:size]
-    contents = [[_minor_entry(diagram, r, c, s) for c in cols] for r in rows]
-    positions = sorted(cell for line in contents for cell in line if cell not in (None, "a"))
-    bit_of = {pos: 1 << k for k, pos in enumerate(positions)}
+    contents = _minor_cells(diagram, pair)
+    size = len(contents)
+    variables = sorted(cell for line in contents for cell in line if cell not in (None, "a"))
+    if symbolic is None:
+        positions, fixed = variables, []
+    else:
+        positions = [pos for pos in variables if pos in symbolic]
+        fixed = [pos for pos in variables if pos not in symbolic and pos in ones]
+    bit_of = {pos: 1 << k for k, pos in enumerate(positions + fixed)}
     # Per row: (column, parameter power, variable bit) of each live cell.
     row_cells = [
-        [(q, 1, 0) if cell == "a" else (q, 0, bit_of[cell]) for q, cell in enumerate(line) if cell is not None]
+        [(q, 1, 0) if cell == "a" else (q, 0, bit_of[cell]) for q, cell in enumerate(line) if cell == "a" or cell in bit_of]
         for line in contents
     ]
 
@@ -178,6 +206,7 @@ def _truncated_minor(diagram: Diagram, pair: NeighbouringPair, d: int, degree: i
         return total
 
     # Each half of a mask is peeled into sorted positions once and reused.
+    symbolic_bits = (1 << len(positions)) - 1
     low_half = (1 << (len(positions) // 2)) - 1
     halves: dict[int, tuple] = {}
 
@@ -192,7 +221,7 @@ def _truncated_minor(diagram: Diagram, pair: NeighbouringPair, d: int, degree: i
             halves[piece] = tuple(out)
         return halves[piece]
 
-    leading = {}
+    leading: dict = {}
     for (power, mask), coeff in det(0).items():
         if not coeff:
             continue
@@ -200,9 +229,84 @@ def _truncated_minor(diagram: Diagram, pair: NeighbouringPair, d: int, degree: i
             raise _below_valuation(pair, d)
         if mask.bit_count() != degree:
             raise _wrong_degree(pair, degree)
+        mask &= symbolic_bits
         low = mask & low_half
-        leading[(0, peel(low) + peel(mask ^ low))] = coeff
+        key = (0, peel(low) + peel(mask ^ low))
+        leading[key] = leading.get(key, 0) + coeff
     return Poly(leading)
+
+
+def _min_cost_matching(costs: list[list[int | None]]) -> list[int] | None:
+    """Column of each row in a minimum-cost perfect matching of a square
+    matrix's cells that are not None, or None when no perfect matching
+    exists: the Hungarian method (Kuhn 1955) with potentials, O(size^3)
+    steps in exact integers."""
+    size = len(costs)
+    u = [0] * (size + 1)
+    v = [0] * (size + 1)
+    owner = [0] * (size + 1)  # owner[j]: the row (from 1) matched to column j; column 0 is the root
+    for i in range(1, size + 1):
+        owner[0] = i
+        j0 = 0
+        slack = [inf] * (size + 1)
+        way = [0] * (size + 1)
+        done = [False] * (size + 1)
+        while owner[j0]:
+            done[j0] = True
+            i0 = owner[j0]
+            row = costs[i0 - 1]
+            delta, j1 = inf, 0
+            for j in range(1, size + 1):
+                if done[j]:
+                    continue
+                if row[j - 1] is not None:
+                    reduced = row[j - 1] - u[i0] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, j0
+                if slack[j] < delta:
+                    delta, j1 = slack[j], j
+            if not j1:
+                return None  # no augmenting path from row i, so no perfect matching
+            for j in range(size + 1):
+                if done[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    match = [0] * size
+    for j in range(1, size + 1):
+        match[owner[j] - 1] = j - 1
+    return match
+
+
+def _generator_sign(diagram: Diagram, pair: NeighbouringPair, d: int, degree: int) -> int:
+    """The sign that ``sign_normalized`` gives the coefficient of ``a^d``:
+    that coefficient's value on its lexicographically least monomial.
+
+    Each monomial comes from exactly one permutation of the minor, with
+    coefficient +-1.  With N variable cells, a parameter cell costs
+    2^(N+2) and the k-th variable cell in sorted position order -2^(N-k),
+    so a minimum-cost perfect matching takes the fewest parameter cells,
+    d, and then, each weight exceeding the sum of all later ones, the least
+    monomial.  The restricted minor with just that monomial's cells set to
+    1 is its coefficient."""
+    cells = _minor_cells(diagram, pair)
+    positions = sorted(cell for line in cells for cell in line if cell not in (None, "a"))
+    weight: dict = {pos: -(1 << (len(positions) - k)) for k, pos in enumerate(positions)}
+    weight["a"] = 1 << (len(positions) + 2)
+    match = _min_cost_matching([[None if cell is None else weight[cell] for cell in line] for line in cells])
+    if match is None:
+        raise InternalConsistencyError(f"the minor of {pair} has no perfect matching")
+    least = frozenset(cells[r][q] for r, q in enumerate(match)) - {"a"}
+    sign = _truncated_minor(diagram, pair, d, degree, frozenset(), least).constant_value()
+    if sign not in (1, -1):
+        raise InternalConsistencyError(f"least monomial of {pair} has coefficient {sign}")
+    return sign
 
 
 def extract_invariant(diagram: Diagram, pair: NeighbouringPair, minor: Poly | None = None) -> InvariantRecord:
@@ -387,6 +491,60 @@ def _poly_mul_linear(coeffs: list[int], constant: int) -> list[int]:
     return out
 
 
+def _expanded(diagram: Diagram, pair: NeighbouringPair, symbolic_max_n: int) -> bool:
+    """Whether the checks read the pair's fully expanded generator: the
+    vanishing, Weierstrass and injectivity checks all route by this rule."""
+    return len(interval_entries(diagram, pair)) <= symbolic_max_n
+
+
+def restricted_generator(
+    diagram: Diagram,
+    pair: NeighbouringPair,
+    symbolic: frozenset[Pos],
+    ones: frozenset[Pos],
+    symbolic_max_n: int = DEFAULT_SYMBOLIC_MAX_N,
+) -> Poly:
+    """The generator with the coordinates in ``symbolic`` kept, the others
+    in ``ones`` set to 1 and all the rest to 0.
+
+    Up to ``symbolic_max_n`` the expanded generator is substituted into;
+    past it, the truncated expansion runs on the restricted minor and one
+    assignment gives the sign, so the generator is never expanded."""
+    if _expanded(diagram, pair, symbolic_max_n):
+        poly = invariant_for(diagram.parts, pair).polynomial
+        return poly.substitute({pos: int(pos in ones) for pos in poly.variables() if pos not in symbolic})
+    d, degree = boxes_below_band(diagram, pair), true_degree(diagram, pair)
+    rest = _truncated_minor(diagram, pair, d, degree, symbolic, ones)
+    return rest if _generator_sign(diagram, pair, d, degree) == 1 else -rest
+
+
+def generator_vanishes(
+    diagram: Diagram,
+    pair: NeighbouringPair,
+    zeroed: frozenset[Pos],
+    symbolic_max_n: int = DEFAULT_SYMBOLIC_MAX_N,
+) -> bool:
+    """Whether the generator is zero once the ``zeroed`` coordinates are.
+
+    Past ``symbolic_max_n``: no monomial cancels, so it is zero iff no
+    perfect matching of the minor's live cells outside ``zeroed`` uses
+    the valuation's d parameter cells, and none uses fewer."""
+    if _expanded(diagram, pair, symbolic_max_n):
+        return invariant_for(diagram.parts, pair).polynomial.substitute({p: 0 for p in zeroed}).is_zero()
+    d = boxes_below_band(diagram, pair)
+    costs = [
+        [1 if cell == "a" else None if cell is None or cell in zeroed else 0 for cell in line]
+        for line in _minor_cells(diagram, pair)
+    ]
+    match = _min_cost_matching(costs)
+    if match is None:
+        return True
+    parameters = sum(costs[r][q] for r, q in enumerate(match))
+    if parameters < d:
+        raise _below_valuation(pair, d)
+    return parameters > d
+
+
 @dataclass(frozen=True)
 class PairVanishing:
     pair: NeighbouringPair
@@ -454,7 +612,7 @@ def vanishing_check(
     results = []
     for pair in neighbouring_pairs(diagram):
         specific = trail_exclusions(roots, penetrating_string(ct, pair))
-        if len(interval_entries(diagram, pair)) <= symbolic_max_n:
+        if _expanded(diagram, pair, symbolic_max_n):
             record = invariant_for(diagram.parts, pair)
             g_ok, g_wit = _symbolic_zero(record, roots.excluded)
             s_ok, s_wit = _symbolic_zero(record, specific)
@@ -485,17 +643,13 @@ class WeierstrassReport:
         return self.distinct and all(r.ok for r in self.results)
 
 
-def weierstrass_restrict(ct: ComponentTableau, pair: NeighbouringPair) -> PairRestriction:
+def weierstrass_restrict(
+    ct: ComponentTableau, pair: NeighbouringPair, symbolic_max_n: int = DEFAULT_SYMBOLIC_MAX_N
+) -> PairRestriction:
     """Restrict the generator to the section: ones to 1, stars kept symbolic,
     everything else to 0.  The result must be plus-or-minus the single star
     coordinate picked out combinatorially."""
-    record = invariant_for(ct.diagram.parts, pair)
-    assignment = {}
-    for pos in record.polynomial.variables():
-        if pos in ct.v_support:
-            continue
-        assignment[pos] = 1 if pos in ct.e_support else 0
-    rest = record.polynomial.substitute(assignment)
+    rest = restricted_generator(ct.diagram, pair, ct.v_support, ct.e_support, symbolic_max_n)
     expected = special_star_line(ct, pair)
     single = None
     if len(rest.terms) == 1:
@@ -507,16 +661,8 @@ def weierstrass_restrict(ct: ComponentTableau, pair: NeighbouringPair) -> PairRe
     return PairRestriction(pair, single, ok, rest)
 
 
-def weierstrass_check(ct: ComponentTableau) -> WeierstrassReport:
-    results = tuple(weierstrass_restrict(ct, pair) for pair in neighbouring_pairs(ct.diagram))
+def weierstrass_check(ct: ComponentTableau, symbolic_max_n: int = DEFAULT_SYMBOLIC_MAX_N) -> WeierstrassReport:
+    results = tuple(weierstrass_restrict(ct, pair, symbolic_max_n) for pair in neighbouring_pairs(ct.diagram))
     seen = [r.variable for r in results if r.variable is not None]
     distinct = len(seen) == len(set(seen))
     return WeierstrassReport(results, distinct)
-
-
-def evaluate_at_section_point(record: InvariantRecord, ones: frozenset[Pos], extra: Pos) -> int:
-    """Value of the generator at the one-matrix plus a single extra coordinate."""
-    assignment = {}
-    for pos in record.polynomial.variables():
-        assignment[pos] = 1 if (pos in ones or pos == extra) else 0
-    return record.polynomial.substitute(assignment).constant_value()

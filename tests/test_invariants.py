@@ -5,24 +5,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilfibre.builder import component_tableaux
-from nilfibre.conformance import compositions_of
+from nilfibre.conformance import compositions_of, verify_composition
 from nilfibre.core import (
+    Composition,
     InternalConsistencyError,
     InvalidInput,
     boxes_below_band,
     diagram_of,
+    interval_entries,
     neighbouring_pairs,
 )
 from nilfibre.invariants import (
+    DEFAULT_SYMBOLIC_MAX_N,
     chain_support,
     extract_invariant,
+    generator_vanishes,
     invariant_for,
+    restricted_generator,
     symbolic_minor,
     vanishing_check,
     weierstrass_check,
 )
 from nilfibre.poly import Poly, evaluate
-from nilfibre.roots import excluded_roots
+from nilfibre.roots import excluded_roots, penetrating_string, trail_exclusions
 
 compositions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple)
 
@@ -312,3 +317,72 @@ def test_truncated_extraction_keeps_the_valuation_guard(monkeypatch):
     monkeypatch.setattr(invariants, "boxes_below_band", lambda diagram, pair: boxes_below_band(diagram, pair) + 1)
     with pytest.raises(InternalConsistencyError, match="below valuation"):
         extract_invariant(d, pair)
+
+
+def test_restricted_minor_with_every_cell_symbolic_is_the_generator():
+    # past the bound the sign comes from one assignment, not from the
+    # expanded generator's least monomial; symbolic_max_n=0 forces that route
+    cases = [
+        (parts, pair)
+        for n in range(1, 10)
+        for parts in compositions_of(n)
+        for pair in neighbouring_pairs(diagram_of(parts))
+    ]
+    cases += [(parts, full_span_pair(parts)) for parts in ((5, 3, 5), (4, 1, 2, 2, 4))]
+    for parts, pair in cases:
+        d = diagram_of(parts)
+        restricted = restricted_generator(d, pair, d.nilradical_positions(), frozenset(), symbolic_max_n=0)
+        assert restricted == extract_invariant(d, pair).polynomial, (parts, pair)
+    assert len(cases) > 1000
+
+
+def test_matching_zero_test_matches_substitution():
+    checked = 0
+    for n in range(1, 10):
+        for parts in compositions_of(n):
+            d = diagram_of(parts)
+            for ct in component_tableaux(parts):
+                roots = excluded_roots(ct)
+                for pair in neighbouring_pairs(d):
+                    generator = invariant_for(parts, pair).polynomial
+                    for zeroed in (roots.excluded, trail_exclusions(roots, penetrating_string(ct, pair))):
+                        expected = generator.substitute({p: 0 for p in zeroed}).is_zero()
+                        assert generator_vanishes(d, pair, zeroed, symbolic_max_n=0) == expected, (parts, pair)
+                        checked += 1
+    assert checked > 3000
+
+
+def test_restricted_route_reports_match_the_expanded_route():
+    checks = ("weierstrass", "injectivity")
+    for n in range(1, 10):
+        for parts in compositions_of(n):
+            composition = Composition(parts)
+            restricted = verify_composition(composition, checks, 0, symbolic_max_n=0)
+            assert restricted == verify_composition(composition, checks, 0), parts
+
+
+@pytest.mark.parametrize("parts", [(5, 3, 5), (4, 1, 2, 2, 4)])
+def test_no_generator_past_the_bound_is_expanded(monkeypatch, parts):
+    from nilfibre import invariants
+
+    monkeypatch.delenv("COMPONENT_TABLEAUX_CACHE", raising=False)
+    extracted = []
+    extract = invariants.extract_invariant
+
+    def counting(diagram, pair, minor=None):
+        extracted.append(len(interval_entries(diagram, pair)))
+        return extract(diagram, pair, minor)
+
+    monkeypatch.setattr(invariants, "extract_invariant", counting)
+    invariants.invariant_for.cache_clear()
+    try:
+        verify_composition(Composition(parts))
+        inner = [p for p in neighbouring_pairs(diagram_of(parts)) if p != full_span_pair(parts)]
+        assert len(extracted) == len(inner)
+        assert all(size <= DEFAULT_SYMBOLIC_MAX_N for size in extracted)
+        extracted.clear()
+        invariants.invariant_for.cache_clear()
+        verify_composition(Composition(parts), ("weierstrass", "injectivity"), symbolic_max_n=0)
+        assert extracted == []
+    finally:
+        invariants.invariant_for.cache_clear()

@@ -138,6 +138,23 @@ def test_enumerate_rejects_options_it_does_not_read(tmp_path, flag):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["verify", "--composition", "2,1,1,2", "--symbolic-max-n", "-1"],
+        ["sweep", "--n", "3", "--symbolic-max-n", "-5"],
+    ],
+)
+def test_negative_symbolic_max_n_is_rejected(tmp_path, argv):
+    out = tmp_path / "report"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+    # 0 stays valid: no generator is expanded
+    argv[argv.index("--symbolic-max-n") + 1] = "0"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["sweep", "--n", "0"],
         ["sweep", "--n", "-2"],
         ["sweep", "--n", "three"],
