@@ -15,7 +15,9 @@ expansion over ``Poly``, kept as the reference the tests compare against.
 For a pair whose interval exceeds ``symbolic_max_n`` the generator is never
 expanded: its restrictions and values come from the same truncated
 expansion on a restricted minor, its sign and zero tests from a min-cost
-perfect matching of the minor's cells.
+perfect matching of the minor's cells.  The randomized vanishing engine
+decides its zero case by that matching too, and evaluates only a surviving
+generator.
 """
 
 from __future__ import annotations
@@ -526,16 +528,19 @@ def generator_vanishes(
 ) -> bool:
     """Whether the generator is zero once the ``zeroed`` coordinates are.
 
-    Past ``symbolic_max_n``: no monomial cancels, so it is zero iff no
-    perfect matching of the minor's live cells outside ``zeroed`` uses
-    the valuation's d parameter cells, and none uses fewer."""
+    Past ``symbolic_max_n`` the matching test decides it."""
     if _expanded(diagram, pair, symbolic_max_n):
         return invariant_for(diagram.parts, pair).polynomial.substitute({p: 0 for p in zeroed}).is_zero()
+    return _matching_vanishes(diagram, pair, _minor_cells(diagram, pair), zeroed)
+
+
+def _matching_vanishes(diagram: Diagram, pair: NeighbouringPair, cells: list[list], zeroed: frozenset[Pos]) -> bool:
+    """The exact zero test on the minor's ``cells``.  No monomial cancels,
+    so the generator is zero once ``zeroed`` is iff no perfect matching of
+    the live cells outside ``zeroed`` uses the valuation's d parameter
+    cells (one 0/1-cost assignment), and none uses fewer."""
     d = boxes_below_band(diagram, pair)
-    costs = [
-        [1 if cell == "a" else None if cell is None or cell in zeroed else 0 for cell in line]
-        for line in _minor_cells(diagram, pair)
-    ]
+    costs = [[1 if cell == "a" else None if cell is None or cell in zeroed else 0 for cell in line] for line in cells]
     match = _min_cost_matching(costs)
     if match is None:
         return True
@@ -591,6 +596,17 @@ def _symbolic_zero(record: InvariantRecord, zeroed: frozenset[Pos]):
 
 
 def _randomized_zero(diagram, pair, zeroed, rng: Random, trials: int):
+    """The randomized engine's answer.  When the generator is zero every
+    trial interpolates exactly 0 whatever it draws, so the zero case is
+    decided by the matching test and only the trials' draws are replayed,
+    one per live variable cell each, to leave ``rng`` where the trials
+    would.  A surviving generator runs the trials."""
+    cells = _minor_cells(diagram, pair)
+    if _matching_vanishes(diagram, pair, cells, zeroed):
+        live = sum(cell not in (None, "a") and cell not in zeroed for line in cells for cell in line)
+        for _ in range(trials * live):
+            rng.randrange(1, 1 << 32)  # rejection-sampled, so the calls are replayed, not their bits
+        return True, None
     for _ in range(trials):
         if _random_invariant_value(diagram, pair, zeroed, rng) != 0:
             return False, ("nonzero evaluation",)

@@ -1,12 +1,14 @@
 """Reversal duality: X -> -J X^T J carries the parabolic of a composition and
 its nilradical onto those of the reversed composition, so the two nilfibres
-have the same number of components.  The construction lowers entries left
-to right and is not symmetric under reversal, which makes the equality an
-independent check on the completeness of the search."""
+have the same number of components, and the Benlolo-Sanderson generators
+go along.  The construction lowers entries left to right and is not
+symmetric under reversal, which makes these equalities independent checks
+on the completeness of the search and on the generators."""
 
 from nilfibre.builder import extend_all
 from nilfibre.conformance import compositions_of
-from nilfibre.core import diagram_of
+from nilfibre.core import diagram_of, neighbouring_pairs
+from nilfibre.invariants import extract_invariant
 
 
 def test_reversed_composition_has_as_many_tableaux():
@@ -16,3 +18,23 @@ def test_reversed_composition_has_as_many_tableaux():
         for parts in compositions_of(n)
     }
     assert [parts for parts, count in counts.items() if counts[parts[::-1]] != count] == []
+
+
+def test_reversal_carries_generators_onto_the_reversed_composition():
+    # E_ij goes to -E_tau(i,j) with tau(i, j) = (n+1-j, n+1-i), and the pair
+    # (l, r; s) of c to the pair (k-1-r, k-1-l; s) of rev(c)
+    checked = 0
+    for n in range(1, 10):
+        for parts in compositions_of(n):
+            if parts > parts[::-1]:
+                continue
+            k = len(parts)
+            diagram, reversed_diagram = diagram_of(parts), diagram_of(parts[::-1])
+            mirror = {(p.left, p.right, p.height): p for p in neighbouring_pairs(reversed_diagram)}
+            for pair in neighbouring_pairs(diagram):
+                image = mirror[(k - 1 - pair.right, k - 1 - pair.left, pair.height)]
+                support = extract_invariant(diagram, pair).polynomial.monomial_support()
+                carried = {frozenset((n + 1 - j, n + 1 - i) for i, j in monomial) for monomial in support}
+                assert carried == extract_invariant(reversed_diagram, image).polynomial.monomial_support(), (parts, pair)
+                checked += 1
+    assert checked == 610

@@ -26,6 +26,7 @@ from nilfibre.invariants import (
     vanishing_check,
     weierstrass_check,
 )
+from nilfibre.linalg import bareiss_det
 from nilfibre.poly import Poly, evaluate
 from nilfibre.roots import excluded_roots, penetrating_string, trail_exclusions
 
@@ -200,7 +201,17 @@ def test_randomized_engine_agrees():
             assert vanishing_check(ct, roots, symbolic_max_n=0, rng=rng).ok
 
 
-def test_randomized_engine_detects_nonzero():
+def _count_determinants(monkeypatch) -> list:
+    from nilfibre import invariants
+
+    calls = []
+    monkeypatch.setattr(invariants, "bareiss_det", lambda matrix: calls.append(1) or bareiss_det(matrix))
+    return calls
+
+
+def test_randomized_engine_detects_nonzero(monkeypatch):
+    # a surviving generator still goes through the Bareiss trials
+    determinants = _count_determinants(monkeypatch)
     rng = Random(5)
     ct = by_stars((2, 1, 1, 2), {(3, 4), (3, 6)})
     from nilfibre.roots import ExcludedRootSet
@@ -209,6 +220,7 @@ def test_randomized_engine_detects_nonzero():
     fake = ExcludedRootSet(ct.diagram, (), smaller, ct.diagram.nilradical_positions() - smaller)
     report = vanishing_check(ct, fake, symbolic_max_n=0, rng=rng)
     assert not report.ok
+    assert determinants
 
 
 def test_weierstrass_values_1212():
@@ -386,3 +398,42 @@ def test_no_generator_past_the_bound_is_expanded(monkeypatch, parts):
         assert extracted == []
     finally:
         invariants.invariant_for.cache_clear()
+
+
+def _trial_loop(diagram, pair, zeroed, rng, trials=8):
+    # the trials alone, without the exact zero test: the oracle
+    from nilfibre.invariants import _random_invariant_value
+
+    for _ in range(trials):
+        if _random_invariant_value(diagram, pair, zeroed, rng) != 0:
+            return False, ("nonzero evaluation",)
+    return True, None
+
+
+def test_randomized_zero_matches_the_trial_loop():
+    # the Bareiss trials are the oracle: same answer, same witness and the
+    # same rng stream afterwards, for zero and surviving generators alike
+    from nilfibre.invariants import _randomized_zero
+
+    cases = [parts for n in range(1, 10) for parts in compositions_of(n)] + [(5, 3, 5), (4, 1, 2, 2, 4)]
+    fast, oracle = Random(3), Random(3)
+    outcomes = []
+    for parts in cases:
+        d = diagram_of(parts)
+        for ct in component_tableaux(parts):
+            roots = excluded_roots(ct)
+            for pair in neighbouring_pairs(d):
+                for zeroed in (roots.excluded, trail_exclusions(roots, penetrating_string(ct, pair)), frozenset()):
+                    got = _randomized_zero(d, pair, zeroed, fast, 8)
+                    assert got == _trial_loop(d, pair, zeroed, oracle), (parts, pair, zeroed)
+                    assert fast.getstate() == oracle.getstate(), (parts, pair, zeroed)
+                    outcomes.append(got[0])
+    assert (outcomes.count(True), outcomes.count(False)) == (3444, 1722)
+
+
+@pytest.mark.parametrize("parts, modes", [((5, 3, 5), ["randomized"]), ((4, 1, 2, 2, 4), ["randomized", "symbolic"])])
+def test_passing_composition_runs_no_determinant(monkeypatch, parts, modes):
+    calls = _count_determinants(monkeypatch)
+    report = verify_composition(Composition(parts))
+    assert report["pass"] and report["engineModes"] == modes
+    assert calls == []
