@@ -34,7 +34,7 @@ from .roots import (
     special_star_line,
     word_form,
 )
-from .poly import Poly, evaluate
+from .poly import Poly
 from .invariants import (
     InvariantRecord,
     chain_support,

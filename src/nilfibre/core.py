@@ -141,10 +141,6 @@ class Diagram:
         i, j = pos
         return i < j and self.column_of(i) < self.column_of(j)
 
-    def in_levi(self, pos: Pos) -> bool:
-        i, j = pos
-        return i != j and self.column_of(i) == self.column_of(j)
-
     def nilradical_positions(self) -> frozenset[Pos]:
         return self._nilradical
 
@@ -214,16 +210,6 @@ def interval_entries(diagram: Diagram, pair: NeighbouringPair) -> range:
     first = diagram.columns[pair.left][0]
     last = diagram.columns[pair.right][-1]
     return range(first, last + 1)
-
-
-def rectangle_entries(diagram: Diagram, pair: NeighbouringPair) -> frozenset[int]:
-    """Entries of the boxes in the first ``height`` rows between the pair."""
-    s = pair.height
-    return frozenset(
-        entry
-        for c in interval_columns(pair)
-        for entry in diagram.columns[c][: min(s, diagram.height(c))]
-    )
 
 
 def boxes_below_band(diagram: Diagram, pair: NeighbouringPair) -> int:

@@ -11,7 +11,8 @@ columns.
 
 Extraction expands the minor only up to a^d, with each term held as a
 parameter power and a bitmask of variables.  ``symbolic_minor`` is the full
-expansion over ``Poly``, kept as the reference the tests compare against.
+expansion, one ``Poly`` per power of the parameter, kept as the reference
+the tests compare against; nothing else holds the parameter.
 For a pair whose interval exceeds ``symbolic_max_n`` the generator is never
 expanded: its restrictions and values come from the same truncated
 expansion on a restricted minor, its sign and zero tests from a min-cost
@@ -50,16 +51,12 @@ from .roots import ExcludedRootSet, penetrating_string, special_star_line, trail
 DEFAULT_SYMBOLIC_MAX_N = 10
 
 
-def _minor_shape(diagram: Diagram, pair: NeighbouringPair):
-    entries = list(interval_entries(diagram, pair))
-    s = pair.height
-    return entries, len(entries), s
-
-
 def _minor_cells(diagram: Diagram, pair: NeighbouringPair) -> list[list]:
-    """The lower-left minor's cells row by row: "a", a position or None."""
-    entries, n_prime, s = _minor_shape(diagram, pair)
-    size = n_prime - s
+    """The lower-left minor's cells row by row: "a", a position or None.
+    Entries outside the interval never occur and are suppressed up front."""
+    entries = interval_entries(diagram, pair)
+    s = pair.height
+    size = len(entries) - s
     return [[_minor_entry(diagram, r, c, s) for c in entries[:size]] for r in entries[s:]]
 
 
@@ -74,48 +71,31 @@ def _minor_entry(diagram: Diagram, row_entry: int, col_entry: int, s: int):
     return None
 
 
-def symbolic_minor(diagram: Diagram, pair: NeighbouringPair) -> Poly:
+def symbolic_minor(diagram: Diagram, pair: NeighbouringPair) -> dict[int, Poly]:
     """Exact expansion of the lower-left minor of the pair's interval, every
-    parameter power included: the reference for the truncated extraction.
+    parameter power included: the nonzero coefficient of each power that
+    occurs, the reference for the truncated extraction."""
+    cells = _minor_cells(diagram, pair)
+    size = len(cells)
+    memo: dict[tuple[int, ...], dict[int, Poly]] = {(): {0: Poly.const(1)}}
 
-    Entries outside the interval never occur and are suppressed up front.
-    """
-    entries, n_prime, s = _minor_shape(diagram, pair)
-    size = n_prime - s
-    rows = entries[s:]
-    cols = entries[:size]
-
-    cells: list[list[Poly | None]] = []
-    for r in rows:
-        line = []
-        for c in cols:
-            content = _minor_entry(diagram, r, c, s)
-            if content is None:
-                line.append(None)
-            elif content == "a":
-                line.append(Poly.a())
-            else:
-                line.append(Poly.var(content))
-        cells.append(line)
-
-    memo: dict[tuple[int, ...], Poly] = {(): Poly.const(1)}
-
-    def det(available: tuple[int, ...]) -> Poly:
+    def det(available: tuple[int, ...]) -> dict[int, Poly]:
         if available in memo:
             return memo[available]
         p = size - len(available)
-        total = Poly.zero()
+        total: dict[int, Poly] = {}
         for idx, q in enumerate(available):
             cell = cells[p][q]
             if cell is None:
                 continue
-            sub = det(available[:idx] + available[idx + 1 :])
-            if sub.is_zero():
-                continue
-            term = cell * sub
-            total = total + (term if idx % 2 == 0 else -term)
-        memo[available] = total
-        return total
+            for power, coeff in det(available[:idx] + available[idx + 1 :]).items():
+                if cell == "a":
+                    power += 1
+                else:
+                    coeff = coeff * Poly.var(cell)
+                total[power] = total.get(power, Poly.zero()) + (coeff if idx % 2 == 0 else -coeff)
+        memo[available] = {power: coeff for power, coeff in total.items() if not coeff.is_zero()}
+        return memo[available]
 
     return det(tuple(range(size)))
 
@@ -129,10 +109,8 @@ class InvariantRecord:
 
     def to_json(self) -> dict:
         return {
-            "pair": {"left": self.pair.left + 1, "right": self.pair.right + 1, "height": self.pair.height},
             "degree": self.degree,
             "d_D": self.band_boxes,
-            "monomialCount": len(self.polynomial.terms),
             "polynomial": self.polynomial.to_json(),
         }
 
@@ -233,7 +211,7 @@ def _truncated_minor(
             raise _wrong_degree(pair, degree)
         mask &= symbolic_bits
         low = mask & low_half
-        key = (0, peel(low) + peel(mask ^ low))
+        key = peel(low) + peel(mask ^ low)
         leading[key] = leading.get(key, 0) + coeff
     return Poly(leading)
 
@@ -311,7 +289,9 @@ def _generator_sign(diagram: Diagram, pair: NeighbouringPair, d: int, degree: in
     return sign
 
 
-def extract_invariant(diagram: Diagram, pair: NeighbouringPair, minor: Poly | None = None) -> InvariantRecord:
+def extract_invariant(
+    diagram: Diagram, pair: NeighbouringPair, minor: dict[int, Poly] | None = None
+) -> InvariantRecord:
     """Sign-normalized coefficient of the minimal parameter power.
 
     Without ``minor`` the expansion is truncated at that power; a given
@@ -321,9 +301,9 @@ def extract_invariant(diagram: Diagram, pair: NeighbouringPair, minor: Poly | No
     if minor is None:
         leading = _truncated_minor(diagram, pair, d, degree)
     else:
-        if any(not minor.a_coefficient(lower).is_zero() for lower in range(d)):
+        if any(power < d for power in minor):
             raise _below_valuation(pair, d)
-        leading = minor.a_coefficient(d)
+        leading = minor.get(d, Poly.zero())
     inv = leading.sign_normalized()
     if inv.is_zero():
         raise InternalConsistencyError(f"extracted invariant of {pair} is zero")
@@ -357,8 +337,8 @@ def invariant_for(parts: tuple[int, ...], pair: NeighbouringPair) -> InvariantRe
             pass  # a miss; a corrupt entry is rewritten below
         else:
             # A readable entry that cannot be this pair's generator is a miss
-            # too: wrong degree or valuation, a parameter power, a non-integer
-            # coefficient, or a position outside the interval's nilradical.
+            # too: wrong degree or valuation, a non-integer coefficient, or a
+            # position outside the interval's nilradical.
             poly = cached.polynomial
             degree = true_degree(diagram, pair)
             inside = interval_entries(diagram, pair)
@@ -366,7 +346,6 @@ def invariant_for(parts: tuple[int, ...], pair: NeighbouringPair) -> InvariantRe
                 cached.band_boxes == boxes_below_band(diagram, pair)
                 and cached.degree == degree
                 and poly.total_degrees() == {degree}
-                and {a_pow for a_pow, _ in poly.terms} == {0}
                 and {type(coeff) for coeff in poly.terms.values()} == {int}
                 and all(
                     i in inside and j in inside and diagram.in_nilradical((i, j))
@@ -432,36 +411,17 @@ def _random_invariant_value(
     """Exact value of the invariant at one random integer point with the
     ``zeroed`` coordinates set to zero: the minor is evaluated at enough
     distinct parameter values and the valuation coefficient interpolated."""
-    entries, n_prime, s = _minor_shape(diagram, pair)
-    size = n_prime - s
-    rows, cols = entries[s:], entries[:size]
-    assignment: dict[Pos, int] = {}
-    base: list[list[tuple[str, int]]] = []
-    for r in rows:
-        line: list[tuple[str, int]] = []
-        for c in cols:
-            content = _minor_entry(diagram, r, c, s)
-            if content is None:
-                line.append(("z", 0))
-            elif content == "a":
-                line.append(("a", 0))
-            else:
-                if content in zeroed:
-                    line.append(("z", 0))
-                else:
-                    if content not in assignment:
-                        assignment[content] = rng.randrange(1, 1 << 32)
-                    line.append(("v", assignment[content]))
-        base.append(line)
+    cells = _minor_cells(diagram, pair)
+    # Each variable occupies one cell, so one draw per live variable cell,
+    # row by row; None marks a parameter cell.
+    base = [
+        [None if cell == "a" else 0 if cell is None or cell in zeroed else rng.randrange(1, 1 << 32) for cell in line]
+        for line in cells
+    ]
 
-    count = n_prime - s + 1  # strictly above the parameter degree of the minor
+    count = len(cells) + 1  # strictly above the parameter degree of the minor
     points = list(range(1, count + 1))
-    values = []
-    for a_val in points:
-        matrix = [
-            [a_val if kind == "a" else value for kind, value in line] for line in base
-        ]
-        values.append(bareiss_det(matrix))
+    values = [bareiss_det([[a_val if value is None else value for value in line] for line in base]) for a_val in points]
 
     # Lagrange interpolation of the valuation coefficient.
     d = boxes_below_band(diagram, pair)
@@ -669,8 +629,7 @@ def weierstrass_restrict(
     expected = special_star_line(ct, pair)
     single = None
     if len(rest.terms) == 1:
-        (mono, coeff), = rest.terms.items()
-        _, vars_ = mono
+        (vars_, coeff), = rest.terms.items()
         if len(vars_) == 1 and coeff in (1, -1):
             single = vars_[0]
     ok = single is not None and single == expected and single in ct.v_support

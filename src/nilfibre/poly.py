@@ -1,10 +1,12 @@
 """Exact sparse multilinear polynomials over the integers.
 
-Variables are matrix positions (i, j) plus the auxiliary diagonal parameter.
-A monomial is (parameter exponent, sorted tuple of distinct positions): every
-determinant term uses each cell at most once, so no position ever carries an
-exponent, and a product that would repeat one raises.  Coefficients are
-arbitrary-precision integers and zero coefficients are never stored.
+Variables are matrix positions (i, j).  A monomial is a sorted tuple of
+distinct positions: every determinant term uses each cell at most once, so
+no position ever carries an exponent, and a product that would repeat one
+raises.  Coefficients are arbitrary-precision integers and zero coefficients
+are never stored.  The diagonal parameter of the minors is not a variable:
+the one expansion that keeps it, ``invariants.symbolic_minor``, holds a
+``Poly`` per power.
 """
 
 from __future__ import annotations
@@ -13,23 +15,17 @@ from itertools import chain
 
 from .core import InternalConsistencyError, InvalidInput, Pos
 
-Mono = tuple[int, tuple[Pos, ...]]
-
-_A_KEY = "a"
+Mono = tuple[Pos, ...]
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    a1, v1 = m1
-    a2, v2 = m2
-    if not v1:
-        vars_ = v2
-    elif not v2:
-        vars_ = v1
-    else:
-        if not set(v1).isdisjoint(v2):
-            raise InternalConsistencyError(f"product of {v1} and {v2} repeats a position")
-        vars_ = tuple(sorted(v1 + v2))
-    return (a1 + a2, vars_)
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    if not set(m1).isdisjoint(m2):
+        raise InternalConsistencyError(f"product of {m1} and {m2} repeats a position")
+    return tuple(sorted(m1 + m2))
 
 
 class Poly:
@@ -46,15 +42,11 @@ class Poly:
 
     @classmethod
     def const(cls, value: int) -> "Poly":
-        return cls({(0, ()): value})
+        return cls({(): value})
 
     @classmethod
     def var(cls, pos: Pos) -> "Poly":
-        return cls({(0, (pos,)): 1})
-
-    @classmethod
-    def a(cls) -> "Poly":
-        return cls({(1, ()): 1})
+        return cls({(pos,): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -88,24 +80,13 @@ class Poly:
         return Poly(out)
 
     def variables(self) -> frozenset[Pos]:
-        return frozenset(pos for _, vars_ in self.terms for pos in vars_)
+        return frozenset(pos for mono in self.terms for pos in mono)
 
-    def a_coefficient(self, power: int) -> "Poly":
-        """The coefficient of the given parameter power, a polynomial in the
-        positions alone."""
-        return Poly({(0, vars_): c for (a, vars_), c in self.terms.items() if a == power})
-
-    def substitute(self, assignment: dict) -> "Poly":
-        """Map positions (or the parameter key "a") to integers; unmapped
-        variables stay symbolic.  Lenient: keys absent from the polynomial
-        are ignored."""
+    def substitute(self, assignment: dict[Pos, int]) -> "Poly":
+        """Map positions to integers; unmapped positions stay symbolic.
+        Lenient: keys absent from the polynomial are ignored."""
         out: dict[Mono, int] = {}
-        for (a_exp, vars_), coeff in self.terms.items():
-            if _A_KEY in assignment:
-                coeff *= assignment[_A_KEY] ** a_exp
-                a_new = 0
-            else:
-                a_new = a_exp
+        for vars_, coeff in self.terms.items():
             kept = []
             for pos in vars_:
                 if pos in assignment:
@@ -116,7 +97,7 @@ class Poly:
                     kept.append(pos)
             if coeff == 0:
                 continue
-            mono = (a_new, tuple(kept))
+            mono = tuple(kept)
             new = out.get(mono, 0) + coeff
             if new:
                 out[mono] = new
@@ -127,42 +108,36 @@ class Poly:
     def constant_value(self) -> int:
         if not self.terms:
             return 0
-        if set(self.terms) == {(0, ())}:
-            return self.terms[(0, ())]
+        if set(self.terms) == {()}:
+            return self.terms[()]
         raise InvalidInput("polynomial is not constant")
 
     def monomial_support(self) -> frozenset[frozenset[Pos]]:
-        """Position sets of the monomials, parameter discarded."""
-        return frozenset(frozenset(vars_) for _, vars_ in self.terms)
+        """Position sets of the monomials."""
+        return frozenset(frozenset(vars_) for vars_ in self.terms)
 
     def total_degrees(self) -> set[int]:
-        return {len(vars_) for _, vars_ in self.terms}
+        return {len(vars_) for vars_ in self.terms}
 
     def sign_normalized(self) -> "Poly":
         """Scale by -1 if needed so the lexicographically least monomial has a
         positive coefficient."""
         if not self.terms:
             return self
-        least = min(self.terms, key=lambda m: (m[1], m[0]))
-        return self if self.terms[least] > 0 else -self
+        return self if self.terms[min(self.terms)] > 0 else -self
 
     def to_json(self) -> list[dict]:
-        records = []
-        for (a_exp, vars_), coeff in self.terms.items():
-            records.append(
-                {
-                    "coeff": coeff,
-                    "vars": [[i, j] for i, j in vars_],
-                    "aPow": a_exp,
-                }
-            )
-        records.sort(key=lambda r: (r["vars"], r["aPow"]))
+        records = [{"coeff": coeff, "vars": [[i, j] for i, j in vars_]} for vars_, coeff in self.terms.items()]
+        records.sort(key=lambda r: r["vars"])
         return records
 
     @classmethod
     def from_json(cls, records: list[dict]) -> "Poly":
-        """Inverse of ``to_json``; raises ``ValueError`` on a monomial that
-        repeats a position or has a position entry that is not an ``int``."""
+        """Inverse of ``to_json``; raises ``ValueError`` on a record with keys
+        other than ``coeff`` and ``vars``, a monomial that repeats a position
+        or a position entry that is not an ``int``."""
+        if any(set(record) != {"coeff", "vars"} for record in records):
+            raise ValueError("a monomial record has keys other than coeff and vars")
         # one pass over every entry at C speed: a float or a bool would
         # compare and hash equal to an int and be written back as it came
         entries = chain.from_iterable(chain.from_iterable(record["vars"] for record in records))
@@ -173,38 +148,14 @@ class Poly:
             vars_ = tuple(sorted((i, j) for i, j in record["vars"]))
             if len(set(vars_)) != len(vars_):
                 raise ValueError(f"monomial {record['vars']} repeats a position")
-            mono = (record["aPow"], vars_)
-            terms[mono] = terms.get(mono, 0) + record["coeff"]
+            terms[vars_] = terms.get(vars_, 0) + record["coeff"]
         return cls(terms)
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         chunks = []
-        for (a_exp, vars_), coeff in sorted(self.terms.items(), key=lambda t: (t[0][1], t[0][0])):
+        for vars_, coeff in sorted(self.terms.items()):
             body = "".join(f"x{i},{j}" for i, j in vars_)
-            if a_exp:
-                body = f"a^{a_exp}" + body if a_exp > 1 else "a" + body
-            chunks.append(f"{coeff:+d}{body}" if body else f"{coeff:+d}")
+            chunks.append(f"{coeff:+d}{body}")
         return " ".join(chunks)
-
-
-def evaluate(poly: Poly, assignment: dict) -> "Poly | int":
-    """Exact partial evaluation; a full assignment yields an integer.
-
-    Every key must name a variable actually occurring in the polynomial (or
-    the parameter key "a"); anything else is rejected.
-    """
-    occurring = poly.variables()
-    has_a = any(a for a, _ in poly.terms)
-    for key in assignment:
-        if key == _A_KEY:
-            if not has_a:
-                raise InvalidInput("parameter does not occur in the polynomial")
-            continue
-        if key not in occurring:
-            raise InvalidInput(f"unknown variable {key!r}")
-    reduced = poly.substitute(assignment)
-    if not reduced.variables() and not any(a for a, _ in reduced.terms):
-        return reduced.constant_value()
-    return reduced

@@ -58,7 +58,7 @@ def test_criterion_1_invariant_formula():
     record = extract_invariant(d, pair, minor)
     want = poly_of([(1, [(1, 2), (2, 4)]), (1, [(1, 3), (3, 4)])])
     assert record.polynomial == want
-    square = minor.a_coefficient(2)
+    square = minor[2]
     assert square == poly_of([(1, [(1, 4)])]) or square == poly_of([(-1, [(1, 4)])])
     report(1, "generator of (1,2,1) is x12 x24 + x13 x34; quadratic term is +-x14")
 

@@ -11,7 +11,6 @@ from nilfibre.core import (
     build_diagram,
     diagram_of,
     neighbouring_pairs,
-    rectangle_entries,
     surrounding_pair,
     true_degree,
 )
@@ -89,7 +88,6 @@ def test_true_degree():
 def test_rectangle_and_surrounding():
     d = diagram_of((2, 1, 1, 2))
     pair = NeighbouringPair(0, 3, 2)
-    assert rectangle_entries(d, pair) == frozenset({1, 2, 3, 4, 5, 6})
     assert surrounding_pair(d, 2, 1) == pair
     assert surrounding_pair(d, 2, 3) is None
     assert surrounding_pair(d, 1, 1) == NeighbouringPair(1, 2, 1)
@@ -121,7 +119,6 @@ def test_matrix_model_membership():
     d = diagram_of((1, 2, 1))
     assert d.in_nilradical((1, 2))
     assert not d.in_nilradical((2, 3))  # same Levi block
-    assert d.in_levi((2, 3))
     assert d.dim_nilradical == len(d.nilradical_positions()) == 5
 
 

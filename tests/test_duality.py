@@ -5,9 +5,11 @@ go along.  The construction lowers entries left to right and is not
 symmetric under reversal, which makes these equalities independent checks
 on the completeness of the search and on the generators."""
 
-from nilfibre.builder import extend_all
-from nilfibre.conformance import compositions_of
-from nilfibre.core import diagram_of, neighbouring_pairs
+from collections import Counter
+
+from nilfibre.builder import component_tableaux, extend_all
+from nilfibre.conformance import compositions_of, verify_composition
+from nilfibre.core import Composition, diagram_of, neighbouring_pairs
 from nilfibre.invariants import extract_invariant
 
 
@@ -38,3 +40,28 @@ def test_reversal_carries_generators_onto_the_reversed_composition():
                 assert carried == extract_invariant(reversed_diagram, image).polynomial.monomial_support(), (parts, pair)
                 checked += 1
     assert checked == 610
+
+
+def test_reversal_keeps_the_multisets_of_invariant_data():
+    # the correspondence is between P-saturations, so only P-invariant data
+    # of the tableaux may be compared, as multisets: the subspaces themselves
+    # do not correspond
+    def invariant_data(parts):
+        report = verify_composition(Composition(parts), ("dimension", "orbital"))
+        return Counter(
+            (
+                tuple(entry["jordanType"]),
+                len(ct.e_support),
+                entry["orbital"]["status"],
+                entry["orbital"]["genericOrbitDim"],
+            )
+            for ct, entry in zip(component_tableaux(parts), report["tableaux"], strict=True)
+        )
+
+    checked = 0
+    for n in range(1, 10):
+        for parts in compositions_of(n):
+            if parts < parts[::-1]:
+                assert invariant_data(parts) == invariant_data(parts[::-1]), parts
+                checked += 1
+    assert checked == 225

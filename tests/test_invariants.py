@@ -27,7 +27,7 @@ from nilfibre.invariants import (
     weierstrass_check,
 )
 from nilfibre.linalg import bareiss_det
-from nilfibre.poly import Poly, evaluate
+from nilfibre.poly import Poly
 from nilfibre.roots import excluded_roots, penetrating_string, trail_exclusions
 
 compositions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple)
@@ -57,9 +57,7 @@ def test_minor_121():
     d = diagram_of((1, 2, 1))
     minor = symbolic_minor(d, the_pair((1, 2, 1), 1))
     # -a(x12 x24 + x13 x34) + a^2 x14
-    assert minor.a_coefficient(1) == poly_of([(-1, [(1, 2), (2, 4)]), (-1, [(1, 3), (3, 4)])])
-    assert minor.a_coefficient(2) == poly_of([(1, [(1, 4)])])
-    assert minor.a_coefficient(0).is_zero()
+    assert minor == {1: poly_of([(-1, [(1, 2), (2, 4)]), (-1, [(1, 3), (3, 4)])]), 2: poly_of([(1, [(1, 4)])])}
 
 
 def test_invariant_121():
@@ -74,7 +72,7 @@ def test_minor_22_hand_determinant():
     d = diagram_of((2, 2))
     minor = symbolic_minor(d, the_pair((2, 2), 2))
     want = poly_of([(1, [(1, 3), (2, 4)]), (-1, [(1, 4), (2, 3)])])
-    assert minor == want or minor == -want
+    assert minor == {0: want} or minor == {0: -want}
     rec = extract_invariant(d, the_pair((2, 2), 2))
     assert rec.polynomial == want  # sign normalized on the least monomial
 
@@ -121,19 +119,20 @@ def test_minor_valuation(parts):
     d = diagram_of(parts)
     for pair in neighbouring_pairs(d):
         minor = symbolic_minor(d, pair)
-        assert min(a for a, _ in minor.terms) == boxes_below_band(d, pair)
+        assert min(minor) == boxes_below_band(d, pair)
+        assert not any(coeff.is_zero() for coeff in minor.values())
 
 
-def test_evaluate_full_and_partial():
+def test_substitute_full_and_partial():
     d = diagram_of((1, 2, 1))
     rec = extract_invariant(d, the_pair((1, 2, 1), 1))
-    assert evaluate(rec.polynomial, {(1, 2): 1, (2, 4): 1, (1, 3): 0, (3, 4): 0}) == 1
-    assert evaluate(rec.polynomial, {v: 0 for v in rec.polynomial.variables()}) == 0
+    assert rec.polynomial.substitute({(1, 2): 1, (2, 4): 1, (1, 3): 0, (3, 4): 0}).constant_value() == 1
+    assert rec.polynomial.substitute({v: 0 for v in rec.polynomial.variables()}).is_zero()
     # zeroing the starred coordinates of the canonical tableau kills it
-    assert evaluate(rec.polynomial, {(2, 4): 0, (3, 4): 0}) == 0
-    partial = evaluate(rec.polynomial, {(2, 4): 0})
-    assert isinstance(partial, Poly)
-    assert partial == poly_of([(1, [(1, 3), (3, 4)])])
+    assert rec.polynomial.substitute({(2, 4): 0, (3, 4): 0}).is_zero()
+    assert rec.polynomial.substitute({(2, 4): 0}) == poly_of([(1, [(1, 3), (3, 4)])])
+    with pytest.raises(InvalidInput, match="not constant"):
+        rec.polynomial.substitute({(2, 4): 0}).constant_value()
 
 
 def test_repeated_position_is_rejected():
@@ -141,21 +140,20 @@ def test_repeated_position_is_rejected():
     with pytest.raises(InternalConsistencyError, match="repeats a position"):
         x * x
     with pytest.raises(ValueError, match="repeats a position"):
-        Poly.from_json([{"coeff": 1, "vars": [[1, 2], [2, 3], [1, 2]], "aPow": 0}])
+        Poly.from_json([{"coeff": 1, "vars": [[1, 2], [2, 3], [1, 2]]}])
 
 
 @pytest.mark.parametrize("position", [[3.0, 4], [3, 4.0], [True, 4], [3, "4"]])
 def test_from_json_rejects_a_position_entry_that_is_no_int(position):
     with pytest.raises(ValueError, match="not an int"):
-        Poly.from_json([{"coeff": 1, "vars": [[1, 2], position], "aPow": 0}])
-    assert Poly.from_json([{"coeff": 1, "vars": [[1, 2], [3, 4]], "aPow": 0}]) == Poly.var((1, 2)) * Poly.var((3, 4))
+        Poly.from_json([{"coeff": 1, "vars": [[1, 2], position]}])
+    assert Poly.from_json([{"coeff": 1, "vars": [[1, 2], [3, 4]]}]) == Poly.var((1, 2)) * Poly.var((3, 4))
 
 
-def test_evaluate_rejects_unknown_variable():
-    d = diagram_of((1, 2, 1))
-    rec = extract_invariant(d, the_pair((1, 2, 1), 1))
-    with pytest.raises(InvalidInput):
-        evaluate(rec.polynomial, {(1, 4): 1})
+@pytest.mark.parametrize("record", [{"coeff": 1, "vars": [[1, 2]], "aPow": 0}, {"coeff": 1}, {"vars": [[1, 2]]}])
+def test_from_json_rejects_other_keys(record):
+    with pytest.raises(ValueError, match="keys other than"):
+        Poly.from_json([{"coeff": 1, "vars": [[3, 4]]}, record])
 
 
 def test_vanishing_2112():
@@ -377,7 +375,6 @@ def test_restricted_route_reports_match_the_expanded_route():
 def test_no_generator_past_the_bound_is_expanded(monkeypatch, parts):
     from nilfibre import invariants
 
-    monkeypatch.delenv("COMPONENT_TABLEAUX_CACHE", raising=False)
     extracted = []
     extract = invariants.extract_invariant
 

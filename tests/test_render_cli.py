@@ -239,40 +239,49 @@ def test_invariant_disk_cache(tmp_path, monkeypatch):
         "{}",
         "[]",
         pytest.param(
-            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[3, 4], [3, 4]], "aPow": 0}]}',
+            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[3, 4], [3, 4]]}]}',
             id="repeated-position",
         ),
         pytest.param(
-            '{"degree": 2, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[3, 4]], "aPow": 0}]}',
+            '{"degree": 2, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[3, 4]]}]}',
             id="wrong-degree",
         ),
         pytest.param(
-            '{"degree": 1, "d_D": 1, "polynomial": [{"coeff": 1, "vars": [[3, 4]], "aPow": 0}]}',
+            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 1, "vars": []}]}',
+            id="wrong-monomial-degree",
+        ),
+        pytest.param(
+            '{"degree": 1, "d_D": 1, "polynomial": [{"coeff": 1, "vars": [[3, 4]]}]}',
             id="wrong-valuation",
         ),
         pytest.param(
             '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[3, 4]], "aPow": 2}]}',
-            id="a-power",
+            id="unknown-key",
         ),
         pytest.param(
-            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 0.5, "vars": [[3, 4]], "aPow": 0}]}',
+            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 0.5, "vars": [[3, 4]]}]}',
             id="float-coefficient",
         ),
         pytest.param(
-            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[1, 2]], "aPow": 0}]}',
+            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[1, 2]]}]}',
             id="levi-position",
         ),
         pytest.param(
-            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[1, 3]], "aPow": 0}]}',
+            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[1, 3]]}]}',
             id="outside-interval",
         ),
         pytest.param(
-            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[4, 3]], "aPow": 0}]}',
+            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[4, 3]]}]}',
             id="below-diagonal",
         ),
         pytest.param(
-            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[3.0, 4]], "aPow": 0}]}',
+            '{"degree": 1, "d_D": 0, "polynomial": [{"coeff": 1, "vars": [[3.0, 4]]}]}',
             id="float-position",
+        ),
+        pytest.param(
+            '{"pair": {"left": 2, "right": 3, "height": 1}, "degree": 1, "d_D": 0, "monomialCount": 1, '
+            '"polynomial": [{"coeff": 1, "vars": [[3, 4]], "aPow": 0}]}',
+            id="old-format",
         ),
     ],
 )
@@ -293,6 +302,34 @@ def test_invariant_disk_cache_rewrites_corrupt_entries(tmp_path, monkeypatch, co
     invariants.invariant_for.cache_clear()
     assert again == expected
     assert entry.read_text() == json.dumps(expected.to_json())
+
+
+def test_every_generator_reads_back_from_the_disk_cache(tmp_path, monkeypatch):
+    from nilfibre import invariants
+    from nilfibre.conformance import compositions_of
+    from nilfibre.core import diagram_of, neighbouring_pairs
+
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("COMPONENT_TABLEAUX_CACHE", str(cache))
+    keys = [
+        (parts, pair)
+        for n in range(1, 9)
+        for parts in compositions_of(n)
+        for pair in neighbouring_pairs(diagram_of(parts))
+    ]
+
+    def refuse(diagram, pair, minor=None):
+        raise AssertionError(f"{pair} of {diagram.parts} missed the disk cache")
+
+    invariants.invariant_for.cache_clear()
+    try:
+        written = [invariants.invariant_for(parts, pair) for parts, pair in keys]
+        assert len(list(cache.iterdir())) == len(keys)
+        invariants.invariant_for.cache_clear()
+        monkeypatch.setattr(invariants, "extract_invariant", refuse)
+        assert [invariants.invariant_for(parts, pair) for parts, pair in keys] == written
+    finally:
+        invariants.invariant_for.cache_clear()
 
 
 def test_interrupted_cache_write_leaves_the_old_entry(tmp_path):
