@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output file (default stdout)")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=int, default=0, help="seed of the orbital check's random samples")
     common.add_argument("--threads", type=_thread_count, default=1, help="worker processes, at most the CPU count")
     common.add_argument(
         "--symbolic-max-n",

@@ -58,12 +58,7 @@ def verify_composition(
     for idx, (ct, roots) in enumerate(zip(tableaux, all_roots)):
         entry: dict = {"index": idx, "data": ct.choice_json()}
         if "vanishing" in checks:
-            result = vanishing_check(
-                ct,
-                roots,
-                symbolic_max_n=symbolic_max_n,
-                rng=_seeded(seed, parts, f"vanishing:{idx}"),
-            )
+            result = vanishing_check(ct, roots, symbolic_max_n=symbolic_max_n)
             modes.update(r.mode for r in result.results)
             entry["vanishing"] = result.to_json()
             report["pass"] &= result.ok

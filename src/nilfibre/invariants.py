@@ -16,9 +16,8 @@ the tests compare against; nothing else holds the parameter.
 For a pair whose interval exceeds ``symbolic_max_n`` the generator is never
 expanded: its restrictions and values come from the same truncated
 expansion on a restricted minor, its sign and zero tests from a min-cost
-perfect matching of the minor's cells.  The randomized vanishing engine
-decides its zero case by that matching too, and evaluates only a surviving
-generator.
+perfect matching of the minor's cells.  No monomial cancels, so both zero
+tests are exact; nothing here draws a random number.
 """
 
 from __future__ import annotations
@@ -27,11 +26,9 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import inf
-from random import Random
 
 from .core import (
     Diagram,
@@ -44,7 +41,6 @@ from .core import (
     true_degree,
 )
 from .builder import ComponentTableau
-from .linalg import bareiss_det
 from .poly import Poly
 from .roots import ExcludedRootSet, penetrating_string, special_star_line, trail_exclusions
 
@@ -402,57 +398,6 @@ def chain_support(diagram: Diagram, pair: NeighbouringPair) -> frozenset[frozens
     return frozenset(results)
 
 
-def _random_invariant_value(
-    diagram: Diagram,
-    pair: NeighbouringPair,
-    zeroed: frozenset[Pos],
-    rng: Random,
-) -> int:
-    """Exact value of the invariant at one random integer point with the
-    ``zeroed`` coordinates set to zero: the minor is evaluated at enough
-    distinct parameter values and the valuation coefficient interpolated."""
-    cells = _minor_cells(diagram, pair)
-    # Each variable occupies one cell, so one draw per live variable cell,
-    # row by row; None marks a parameter cell.
-    base = [
-        [None if cell == "a" else 0 if cell is None or cell in zeroed else rng.randrange(1, 1 << 32) for cell in line]
-        for line in cells
-    ]
-
-    count = len(cells) + 1  # strictly above the parameter degree of the minor
-    points = list(range(1, count + 1))
-    values = [bareiss_det([[a_val if value is None else value for value in line] for line in base]) for a_val in points]
-
-    # Lagrange interpolation of the valuation coefficient.
-    d = boxes_below_band(diagram, pair)
-    coeff = Fraction(0)
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        if yi == 0:
-            continue
-        numer = [1]
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            numer = _poly_mul_linear(numer, -xj)
-        denom = 1
-        for j, xj in enumerate(points):
-            if j != i:
-                denom *= xi - xj
-        coeff += Fraction(yi * numer[d], denom)
-    if coeff.denominator != 1:
-        raise InternalConsistencyError("interpolated coefficient is not integral")
-    return int(coeff)
-
-
-def _poly_mul_linear(coeffs: list[int], constant: int) -> list[int]:
-    """Multiply a coefficient list (ascending powers) by (x + constant)."""
-    out = [0] * (len(coeffs) + 1)
-    for k, c in enumerate(coeffs):
-        out[k] += c * constant
-        out[k + 1] += c
-    return out
-
-
 def _expanded(diagram: Diagram, pair: NeighbouringPair, symbolic_max_n: int) -> bool:
     """Whether the checks read the pair's fully expanded generator: the
     vanishing, Weierstrass and injectivity checks all route by this rule."""
@@ -513,7 +458,7 @@ def _matching_vanishes(diagram: Diagram, pair: NeighbouringPair, cells: list[lis
 @dataclass(frozen=True)
 class PairVanishing:
     pair: NeighbouringPair
-    mode: str  # "symbolic" or "randomized"
+    mode: str  # "symbolic", or "randomized": schema 1's name for the matching route
     global_ok: bool
     specific_ok: bool
     global_witness: tuple | None
@@ -555,36 +500,25 @@ def _symbolic_zero(record: InvariantRecord, zeroed: frozenset[Pos]):
     return False, tuple(sorted(witness))
 
 
-def _randomized_zero(diagram, pair, zeroed, rng: Random, trials: int):
-    """The randomized engine's answer.  When the generator is zero every
-    trial interpolates exactly 0 whatever it draws, so the zero case is
-    decided by the matching test and only the trials' draws are replayed,
-    one per live variable cell each, to leave ``rng`` where the trials
-    would.  A surviving generator runs the trials."""
-    cells = _minor_cells(diagram, pair)
+def _matching_zero(diagram: Diagram, pair: NeighbouringPair, cells: list[list], zeroed: frozenset[Pos]):
     if _matching_vanishes(diagram, pair, cells, zeroed):
-        live = sum(cell not in (None, "a") and cell not in zeroed for line in cells for cell in line)
-        for _ in range(trials * live):
-            rng.randrange(1, 1 << 32)  # rejection-sampled, so the calls are replayed, not their bits
         return True, None
-    for _ in range(trials):
-        if _random_invariant_value(diagram, pair, zeroed, rng) != 0:
-            return False, ("nonzero evaluation",)
-    return True, None
+    return False, ("nonzero evaluation",)
 
 
 def vanishing_check(
     ct: ComponentTableau,
     roots: ExcludedRootSet,
     symbolic_max_n: int = DEFAULT_SYMBOLIC_MAX_N,
-    rng: Random | None = None,
-    trials: int = 8,
 ) -> VanishingReport:
     """Every generator must die when the excluded coordinates are zeroed
     (global mode), and each generator already dies under the exclusions of its
-    own penetrating trail (specific mode)."""
+    own penetrating trail (specific mode).
+
+    Past ``symbolic_max_n`` both are decided by the matching test; the mode
+    keeps schema 1's name for that route, "randomized", and a surviving
+    generator's witness is its label, not a monomial."""
     diagram = ct.diagram
-    rng = rng or Random(0)
     results = []
     for pair in neighbouring_pairs(diagram):
         specific = trail_exclusions(roots, penetrating_string(ct, pair))
@@ -594,8 +528,9 @@ def vanishing_check(
             s_ok, s_wit = _symbolic_zero(record, specific)
             mode = "symbolic"
         else:
-            g_ok, g_wit = _randomized_zero(diagram, pair, roots.excluded, rng, trials)
-            s_ok, s_wit = _randomized_zero(diagram, pair, specific, rng, trials)
+            cells = _minor_cells(diagram, pair)
+            g_ok, g_wit = _matching_zero(diagram, pair, cells, roots.excluded)
+            s_ok, s_wit = _matching_zero(diagram, pair, cells, specific)
             mode = "randomized"
         results.append(PairVanishing(pair, mode, g_ok, s_ok, g_wit, s_wit))
     return VanishingReport(tuple(results))

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: fraction-free row bases and ranks, determinants."""
+"""Exact integer linear algebra: fraction-free row bases and ranks."""
 
 from __future__ import annotations
 
@@ -40,27 +40,4 @@ def row_basis(rows: list[list[int]]) -> list[list[int]]:
 def exact_rank(rows: list[list[int]]) -> int:
     """Rank over the rationals by fraction-free elimination."""
     return len(row_basis(rows))
-
-
-def bareiss_det(matrix: list[list[int]]) -> int:
-    """Exact determinant by Bareiss elimination (all divisions exact)."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    work = [list(r) for r in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if work[r][k] != 0), None)
-            if swap is None:
-                return 0
-            work[k], work[swap] = work[swap], work[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = work[k][k]
-    return sign * work[n - 1][n - 1]
 

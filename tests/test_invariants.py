@@ -1,3 +1,4 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -26,7 +27,6 @@ from nilfibre.invariants import (
     vanishing_check,
     weierstrass_check,
 )
-from nilfibre.linalg import bareiss_det
 from nilfibre.poly import Poly
 from nilfibre.roots import excluded_roots, penetrating_string, trail_exclusions
 
@@ -192,33 +192,27 @@ def test_nonvanishing_witness_reported():
 
 
 def test_randomized_engine_agrees():
-    rng = Random(11)
     for parts in [(2, 1, 1, 2), (1, 2, 1, 2), (2, 1, 1, 1, 2)]:
         for ct in component_tableaux(parts):
             roots = excluded_roots(ct)
-            assert vanishing_check(ct, roots, symbolic_max_n=0, rng=rng).ok
+            assert vanishing_check(ct, roots, symbolic_max_n=0).ok
 
 
-def _count_determinants(monkeypatch) -> list:
-    from nilfibre import invariants
-
-    calls = []
-    monkeypatch.setattr(invariants, "bareiss_det", lambda matrix: calls.append(1) or bareiss_det(matrix))
-    return calls
-
-
-def test_randomized_engine_detects_nonzero(monkeypatch):
-    # a surviving generator still goes through the Bareiss trials
-    determinants = _count_determinants(monkeypatch)
-    rng = Random(5)
+def test_randomized_engine_detects_nonzero():
+    # past the bound a surviving generator is reported under schema 1's
+    # names: mode "randomized" and a witness that spells out its label
     ct = by_stars((2, 1, 1, 2), {(3, 4), (3, 6)})
     from nilfibre.roots import ExcludedRootSet
 
     smaller = frozenset({(3, 4)})
     fake = ExcludedRootSet(ct.diagram, (), smaller, ct.diagram.nilradical_positions() - smaller)
-    report = vanishing_check(ct, fake, symbolic_max_n=0, rng=rng)
+    report = vanishing_check(ct, fake, symbolic_max_n=0)
     assert not report.ok
-    assert determinants
+    spelled = [list("nonzero evaluation")]
+    assert report.to_json() == [
+        {"pair": {"left": 2, "right": 3, "height": 1}, "mode": "randomized", "global": True, "specific": False, "witness": spelled},
+        {"pair": {"left": 1, "right": 4, "height": 2}, "mode": "randomized", "global": False, "specific": False, "witness": spelled},
+    ]
 
 
 def test_weierstrass_values_1212():
@@ -347,28 +341,119 @@ def test_restricted_minor_with_every_cell_symbolic_is_the_generator():
 
 
 def test_matching_zero_test_matches_substitution():
-    checked = 0
-    for n in range(1, 10):
-        for parts in compositions_of(n):
-            d = diagram_of(parts)
-            for ct in component_tableaux(parts):
-                roots = excluded_roots(ct)
-                for pair in neighbouring_pairs(d):
-                    generator = invariant_for(parts, pair).polynomial
-                    for zeroed in (roots.excluded, trail_exclusions(roots, penetrating_string(ct, pair))):
-                        expected = generator.substitute({p: 0 for p in zeroed}).is_zero()
-                        assert generator_vanishes(d, pair, zeroed, symbolic_max_n=0) == expected, (parts, pair)
-                        checked += 1
-    assert checked > 3000
+    # both past-bound zero tests, generator_vanishes and vanishing's answer
+    # with its witness, against the expanded generator's substitution within
+    # the bound and against the disjoint chains past it
+    from nilfibre.invariants import _matching_zero, _minor_cells
+
+    cases = [parts for n in range(1, 10) for parts in compositions_of(n)] + [(5, 3, 5), (4, 1, 2, 2, 4)]
+    outcomes = []
+    for parts in cases:
+        d = diagram_of(parts)
+        pairs = neighbouring_pairs(d)
+        cells = {pair: _minor_cells(d, pair) for pair in pairs}
+        chains = {pair: chain_support(d, pair) for pair in pairs if len(interval_entries(d, pair)) > DEFAULT_SYMBOLIC_MAX_N}
+
+        def expected(pair, zeroed):
+            if pair in chains:
+                return all(monomial & zeroed for monomial in chains[pair])
+            return invariant_for(parts, pair).polynomial.substitute({p: 0 for p in zeroed}).is_zero()
+
+        for ct in component_tableaux(parts):
+            roots = excluded_roots(ct)
+            for pair in pairs:
+                for zeroed in (roots.excluded, trail_exclusions(roots, penetrating_string(ct, pair)), frozenset()):
+                    zero = expected(pair, zeroed)
+                    assert generator_vanishes(d, pair, zeroed, symbolic_max_n=0) == zero, (parts, pair, zeroed)
+                    witness = None if zero else ("nonzero evaluation",)
+                    assert _matching_zero(d, pair, cells[pair], zeroed) == (zero, witness), (parts, pair, zeroed)
+                    outcomes.append(zero)
+    assert (outcomes.count(True), outcomes.count(False)) == (3444, 1722)
+
+
+def _det(matrix):
+    # Bareiss elimination: every division is exact
+    work, sign, prev, n = [list(r) for r in matrix], 1, 1, len(matrix)
+    for k in range(n - 1):
+        if work[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if work[r][k] != 0), None)
+            if swap is None:
+                return 0
+            work[k], work[swap], sign = work[swap], work[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
+        prev = work[k][k]
+    return sign * work[-1][-1] if n else 1
+
+
+def _coefficient(points, values, power):
+    # the coefficient of a**power in the polynomial through (points, values), by Lagrange
+    total = Fraction(0)
+    for i, (xi, yi) in enumerate(zip(points, values)):
+        basis = [Fraction(yi)]
+        for j, xj in enumerate(points):
+            if j != i:
+                basis = [(lo - xj * hi) / (xi - xj) for lo, hi in zip([0] + basis, basis + [0])]
+        total += basis[power]
+    assert total.denominator == 1
+    return int(total)
+
+
+def _trial_loop(diagram, pair, zeroed, rng, trials=8):
+    # random trials, independent of the matching test: the generator's value
+    # at a random integer point with the zeroed coordinates set to 0 is the
+    # a**d coefficient of the minor's determinant, interpolated exactly
+    from nilfibre.invariants import _minor_cells
+
+    cells = _minor_cells(diagram, pair)
+    d = boxes_below_band(diagram, pair)
+    points = range(1, len(cells) + 2)
+    for _ in range(trials):
+        base = [[None if c == "a" else 0 if c is None or c in zeroed else rng.randrange(1, 1 << 32) for c in line] for line in cells]
+        values = [_det([[a if v is None else v for v in line] for line in base]) for a in points]
+        if _coefficient(points, values, d) != 0:
+            return False, ("nonzero evaluation",)
+    return True, None
+
+
+def test_randomized_zero_matches_the_trial_loop():
+    # the past-bound route's answer and witness against random trials of the
+    # generator's value, for zero and surviving generators alike
+    from nilfibre.invariants import _matching_zero, _minor_cells
+
+    cases = [parts for n in range(1, 10) for parts in compositions_of(n)] + [(5, 3, 5), (4, 1, 2, 2, 4)]
+    rng = Random(3)
+    outcomes = []
+    for parts in cases:
+        d = diagram_of(parts)
+        for ct in component_tableaux(parts):
+            roots = excluded_roots(ct)
+            for pair in neighbouring_pairs(d):
+                cells = _minor_cells(d, pair)
+                for zeroed in (roots.excluded, trail_exclusions(roots, penetrating_string(ct, pair)), frozenset()):
+                    got = _matching_zero(d, pair, cells, zeroed)
+                    assert got == _trial_loop(d, pair, zeroed, rng), (parts, pair, zeroed)
+                    outcomes.append(got[0])
+    assert (outcomes.count(True), outcomes.count(False)) == (3444, 1722)
+
+
+def _without_modes(report: dict) -> dict:
+    # the vanishing mode names the route, so it is the one field that differs
+    del report["engineModes"]
+    for entry in report["tableaux"]:
+        for result in entry["vanishing"]:
+            del result["mode"]
+    return report
 
 
 def test_restricted_route_reports_match_the_expanded_route():
-    checks = ("weierstrass", "injectivity")
+    checks = ("vanishing", "weierstrass", "injectivity")
     for n in range(1, 10):
         for parts in compositions_of(n):
             composition = Composition(parts)
-            restricted = verify_composition(composition, checks, 0, symbolic_max_n=0)
-            assert restricted == verify_composition(composition, checks, 0), parts
+            restricted = _without_modes(verify_composition(composition, checks, 0, symbolic_max_n=0))
+            assert restricted == _without_modes(verify_composition(composition, checks, 0)), parts
 
 
 @pytest.mark.parametrize("parts", [(5, 3, 5), (4, 1, 2, 2, 4)])
@@ -397,40 +482,7 @@ def test_no_generator_past_the_bound_is_expanded(monkeypatch, parts):
         invariants.invariant_for.cache_clear()
 
 
-def _trial_loop(diagram, pair, zeroed, rng, trials=8):
-    # the trials alone, without the exact zero test: the oracle
-    from nilfibre.invariants import _random_invariant_value
-
-    for _ in range(trials):
-        if _random_invariant_value(diagram, pair, zeroed, rng) != 0:
-            return False, ("nonzero evaluation",)
-    return True, None
-
-
-def test_randomized_zero_matches_the_trial_loop():
-    # the Bareiss trials are the oracle: same answer, same witness and the
-    # same rng stream afterwards, for zero and surviving generators alike
-    from nilfibre.invariants import _randomized_zero
-
-    cases = [parts for n in range(1, 10) for parts in compositions_of(n)] + [(5, 3, 5), (4, 1, 2, 2, 4)]
-    fast, oracle = Random(3), Random(3)
-    outcomes = []
-    for parts in cases:
-        d = diagram_of(parts)
-        for ct in component_tableaux(parts):
-            roots = excluded_roots(ct)
-            for pair in neighbouring_pairs(d):
-                for zeroed in (roots.excluded, trail_exclusions(roots, penetrating_string(ct, pair)), frozenset()):
-                    got = _randomized_zero(d, pair, zeroed, fast, 8)
-                    assert got == _trial_loop(d, pair, zeroed, oracle), (parts, pair, zeroed)
-                    assert fast.getstate() == oracle.getstate(), (parts, pair, zeroed)
-                    outcomes.append(got[0])
-    assert (outcomes.count(True), outcomes.count(False)) == (3444, 1722)
-
-
 @pytest.mark.parametrize("parts, modes", [((5, 3, 5), ["randomized"]), ((4, 1, 2, 2, 4), ["randomized", "symbolic"])])
-def test_passing_composition_runs_no_determinant(monkeypatch, parts, modes):
-    calls = _count_determinants(monkeypatch)
+def test_past_bound_composition_passes(parts, modes):
     report = verify_composition(Composition(parts))
     assert report["pass"] and report["engineModes"] == modes
-    assert calls == []

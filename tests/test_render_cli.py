@@ -213,6 +213,27 @@ def test_sweep_threads_match_serial(tmp_path):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
+def test_sweep_reports_match_the_digest_ledger(tmp_path):
+    # sweep_sha256.txt holds the sha256 of every per-n file of
+    # "sweep --n 10 --checks all --seed 0" on both routes; a per-n file does
+    # not depend on the sweep's bound, so n <= 9 is regenerated here and
+    # n = 10 is left to CI
+    import hashlib
+
+    routes = {"default": [], "symbolic-max-n-0": ["--symbolic-max-n", "0"]}
+    for route, flags in routes.items():
+        args = ["sweep", "--n", "9", "--checks", "all", "--seed", "0", *flags]
+        assert main(args + ["--out", str(tmp_path / route)]) == 0
+    checked = 0
+    for line in (GOLDEN / "sweep_sha256.txt").read_text().splitlines():
+        digest, name = line.split("  ")
+        if name.endswith("_n10.json"):
+            continue
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        checked += 1
+    assert checked == 18
+
+
 def test_invariant_disk_cache(tmp_path, monkeypatch):
     from nilfibre import invariants
 
