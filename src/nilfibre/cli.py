@@ -8,10 +8,14 @@ arguments and seed; timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
 import time
+from collections.abc import Callable, Iterator
+from typing import TextIO
 
 from .builder import component_tableaux
 from .conformance import ALL_CHECKS, SCHEMA_VERSION, sweep, verify_composition
@@ -103,35 +107,96 @@ def cmd_verify(args) -> int:
     return EXIT_PASS
 
 
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """A file written under a temporary name beside ``path``, which becomes
+    ``path`` only once the block completes; on an error it is removed.  It
+    is opened by ``open``, not ``mkstemp`` as cache entries are, so a report
+    gets the mode the user's umask gives, not 0600."""
+    partial = f"{path}.partial"
+    try:
+        with open(partial, "w") as handle:
+            yield handle
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
+
+
+def _dump_reports(handle: TextIO, head: dict, reports: Iterator[dict], tail: Callable[[], dict]) -> None:
+    """Write ``_dump({**head, "reports": list(reports), **tail()})`` one report
+    at a time, so no list of reports and no whole text is held.  Under
+    ``sort_keys`` the head's keys must sort before "reports" and the tail's
+    after it, and ``reports`` must not be empty; ``tail`` is called once the
+    reports are exhausted."""
+    handle.write(_dump(head)[:-3] + ',\n  "reports": [\n    ')
+    separator = ""
+    for report in reports:
+        handle.write(separator + _dump(report)[:-1].replace("\n", "\n    "))
+        separator = ",\n    "
+    handle.write("\n  ],\n" + _dump(tail())[2:])
+
+
 def cmd_sweep(args) -> int:
     checks = _parse_checks(args.checks)
+    if args.out:
+        # a bad --out fails here, before any composition is verified
+        os.makedirs(args.out, exist_ok=True)
     started = time.monotonic()
-    report = sweep(
+    reports = sweep(
         args.n,
         checks,
         seed=args.seed,
         symbolic_max_n=args.symbolic_max_n,
         threads=args.threads,
     )
+    per_n: dict[str, dict] = {}
+    failures: list[list[int]] = []
+    inconclusive = False
+
+    def tally(block: dict) -> Iterator[dict]:
+        # the next block["compositions"] reports; only their counts, failures
+        # and inconclusive flags are kept
+        nonlocal inconclusive
+        for report in itertools.islice(reports, block["compositions"]):
+            block["tableaux"] += report["tableauCount"]
+            if not report["pass"]:
+                failures.append(report["composition"])
+            inconclusive |= report["inconclusive"]
+            yield report
+
+    for n in range(1, args.n + 1):
+        block = per_n[str(n)] = {"compositions": 1 << (n - 1), "tableaux": 0}
+        if not args.out:
+            for _ in tally(block):
+                pass
+            continue
+        with _replacing(os.path.join(args.out, f"sweep_n{n}.json")) as handle:
+            _dump_reports(
+                handle,
+                {"checks": list(checks), "compositions": block["compositions"], "n": n},
+                tally(block),
+                lambda: {"schemaVersion": SCHEMA_VERSION, "seed": args.seed, "tableaux": block["tableaux"]},
+            )
     print(f"sweep n<={args.n}: {time.monotonic() - started:.2f}s", file=sys.stderr)
+    summary = {
+        "schemaVersion": SCHEMA_VERSION,
+        "bound": args.n,
+        "seed": args.seed,
+        "checks": list(checks),
+        "failures": failures,
+        "pass": not failures,
+        "inconclusive": inconclusive,
+    }
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for n, block in report["perN"].items():
-            with open(os.path.join(args.out, f"sweep_n{n}.json"), "w") as handle:
-                handle.write(_dump({**{k: report[k] for k in ("schemaVersion", "seed", "checks")}, "n": int(n), **block}))
-        summary = {k: v for k, v in report.items() if k != "perN"}
-        with open(os.path.join(args.out, "summary.json"), "w") as handle:
+        with _replacing(os.path.join(args.out, "summary.json")) as handle:
             handle.write(_dump(summary))
     else:
-        summary = {k: v for k, v in report.items() if k != "perN"}
-        summary["perN"] = {
-            n: {"compositions": block["compositions"], "tableaux": block["tableaux"]}
-            for n, block in report["perN"].items()
-        }
-        _write(_dump(summary), None)
-    if not report["pass"]:
+        _write(_dump({**summary, "perN": per_n}), None)
+    if failures:
         return EXIT_VIOLATION
-    if report["inconclusive"]:
+    if inconclusive:
         return EXIT_INCONCLUSIVE
     return EXIT_PASS
 

@@ -1,4 +1,4 @@
-"""Per-composition verification pipeline and sweep aggregation.
+"""Per-composition verification pipeline and the sweep that streams its reports.
 
 Check names: vanishing, weierstrass, covering, dimension, injectivity,
 orbital.  A report is a plain JSON-ready dict, deterministic for a fixed
@@ -7,6 +7,7 @@ orbital.  A report is a plain JSON-ready dict, deterministic for a fixed
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from random import Random
 
 from .analysis import (
@@ -100,9 +101,8 @@ def verify_composition(
     return report
 
 
-def compositions_of(n: int) -> list[tuple[int, ...]]:
+def compositions_of(n: int) -> Iterator[tuple[int, ...]]:
     """All 2^(n-1) compositions of n, in cut-set order."""
-    out = []
     for mask in range(1 << (n - 1)):
         parts = []
         run = 1
@@ -113,8 +113,7 @@ def compositions_of(n: int) -> list[tuple[int, ...]]:
             else:
                 run += 1
         parts.append(run)
-        out.append(tuple(parts))
-    return out
+        yield tuple(parts)
 
 
 def sweep(
@@ -123,44 +122,24 @@ def sweep(
     seed: int = 0,
     symbolic_max_n: int = DEFAULT_SYMBOLIC_MAX_N,
     threads: int = 1,
-) -> dict:
-    """Verify every composition of every n <= bound; failures are collected,
-    never fatal."""
-    jobs = [(n, parts) for n in range(1, bound + 1) for parts in compositions_of(n)]
-    args = [
+) -> Iterator[dict]:
+    """Verify every composition of every n <= bound and yield each report as
+    it completes, n by n in cut-set order; a failing report is yielded like
+    any other."""
+    args = (
         (parts, checks, seed, symbolic_max_n)
-        for _, parts in jobs
-    ]
+        for n in range(1, bound + 1)
+        for parts in compositions_of(n)
+    )
     if threads > 1:
         import multiprocessing
 
+        # ordered imap: reports still come in cut-set order; chunks of 16
+        # spread the per-task messaging over many small compositions
         with multiprocessing.get_context("fork").Pool(threads) as pool:
-            results = pool.map(_verify_job, args)
+            yield from pool.imap(_verify_job, args, chunksize=16)
     else:
-        results = [_verify_job(a) for a in args]
-    by_n: dict[int, list[dict]] = {}
-    for (n, _), result in zip(jobs, results):
-        by_n.setdefault(n, []).append(result)
-    failures = [
-        r["composition"] for rs in by_n.values() for r in rs if not r["pass"]
-    ]
-    return {
-        "schemaVersion": SCHEMA_VERSION,
-        "bound": bound,
-        "seed": seed,
-        "checks": list(checks),
-        "perN": {
-            str(n): {
-                "compositions": len(rs),
-                "tableaux": sum(r["tableauCount"] for r in rs),
-                "reports": rs,
-            }
-            for n, rs in sorted(by_n.items())
-        },
-        "failures": failures,
-        "pass": not failures,
-        "inconclusive": any(r["inconclusive"] for rs in by_n.values() for r in rs),
-    }
+        yield from map(_verify_job, args)
 
 
 def _verify_job(args) -> dict:

@@ -206,11 +206,70 @@ def test_sweep_writes_per_n_files(tmp_path):
 
 
 def test_sweep_threads_match_serial(tmp_path):
-    one = main(["sweep", "--n", "4", "--seed", "3", "--out", str(tmp_path / "one")])
-    two = main(["sweep", "--n", "4", "--seed", "3", "--threads", "2", "--out", str(tmp_path / "two")])
+    one = main(["sweep", "--n", "8", "--seed", "3", "--out", str(tmp_path / "one")])
+    two = main(["sweep", "--n", "8", "--seed", "3", "--threads", "2", "--out", str(tmp_path / "two")])
     assert one == two == 0
-    for name in ("summary.json", "sweep_n4.json"):
-        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+    names = ["summary.json"] + [f"sweep_n{n}.json" for n in range(1, 9)]
+    assert sorted(p.name for p in (tmp_path / "two").iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes(), name
+
+
+def test_sweep_holds_one_report_at_a_time(tmp_path, monkeypatch):
+    import weakref
+
+    from nilfibre import conformance
+
+    class Report(dict):
+        pass
+
+    refs = []
+    live_at_call = []
+    verify = conformance.verify_composition
+
+    def tracked(*args, **kwargs):
+        live_at_call.append(sum(ref() is not None for ref in refs))
+        report = Report(verify(*args, **kwargs))
+        refs.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(conformance, "verify_composition", tracked)
+    assert main(["sweep", "--n", "8", "--checks", "all", "--out", str(tmp_path / "out")]) == 0
+    assert len(live_at_call) == 255
+    assert max(live_at_call) <= 1
+
+
+def test_sweep_rejects_a_file_as_out_before_verifying(tmp_path, monkeypatch):
+    from nilfibre import conformance
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a composition was verified before --out was checked")
+
+    monkeypatch.setattr(conformance, "verify_composition", refuse)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["sweep", "--n", "8", "--out", str(taken)]) == 1
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_sweep_that_raises_leaves_only_complete_files(tmp_path, monkeypatch):
+    from nilfibre import conformance
+
+    assert main(["sweep", "--n", "2", "--out", str(tmp_path / "clean")]) == 0
+    verify = conformance.verify_composition
+
+    def fail_at_three(composition, *args, **kwargs):
+        if composition.n == 3:
+            raise RuntimeError("injected failure")
+        return verify(composition, *args, **kwargs)
+
+    monkeypatch.setattr(conformance, "verify_composition", fail_at_three)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="injected failure"):
+        main(["sweep", "--n", "4", "--out", str(out)])
+    assert sorted(p.name for p in out.iterdir()) == ["sweep_n1.json", "sweep_n2.json"]
+    for name in ("sweep_n1.json", "sweep_n2.json"):
+        assert (out / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 
 
 def test_sweep_reports_match_the_digest_ledger(tmp_path):
