@@ -17,15 +17,9 @@ from .core import (
     neighbouring_pairs,
 )
 from .builder import ComponentTableau
-from .invariants import DEFAULT_SYMBOLIC_MAX_N, generator_vanishes, invariant_for, restricted_generator
+from .invariants import VanishingReport, WeierstrassReport, invariant_for
 from .linalg import exact_rank, row_basis
-from .roots import (
-    ExcludedRootSet,
-    bracket_closure_violations,
-    penetrating_string,
-    special_star_line,
-    trail_exclusions,
-)
+from .roots import ExcludedRootSet, bracket_closure_violations
 
 
 @dataclass(frozen=True)
@@ -321,36 +315,38 @@ class InjectivityWitness:
 def injectivity_witness(
     ct_a: ComponentTableau,
     ct_b: ComponentTableau,
-    roots_a: ExcludedRootSet,
-    roots_b: ExcludedRootSet,
-    symbolic_max_n: int = DEFAULT_SYMBOLIC_MAX_N,
+    vanishing_a: VanishingReport,
+    vanishing_b: VanishingReport,
+    weierstrass_a: WeierstrassReport,
+    weierstrass_b: WeierstrassReport,
 ) -> InjectivityWitness:
     """Separate two tableaux of one composition along their first differing
     batch: exchanged labels, clearance of the upper-right quadrant of the
     rightmost line, vanishing on the halted-trail exclusions and a section
-    point where the generator survives."""
+    point where the generator survives.  The last two are read from the
+    lower tableau's vanishing result and the higher one's restriction."""
     if ct_a.diagram != ct_b.diagram:
         raise InvalidInput("tableaux of different compositions cannot be compared")
+    diagram = ct_a.diagram
     choices_a, choices_b = ct_a.pair_entry(), ct_b.pair_entry()
-    pair = next(
-        (p for p in neighbouring_pairs(ct_a.diagram) if choices_a[p] != choices_b[p]),
-        None,
-    )
-    if pair is None:
+    pairs = neighbouring_pairs(diagram)
+    idx = next((k for k, p in enumerate(pairs) if choices_a[p] != choices_b[p]), None)
+    if idx is None:
         raise InvalidInput("tableaux share identical numerical data")
+    pair = pairs[idx]
     # The rightmost line comes from the tableau whose penetrating descent for
-    # the differing pair lands in the further-right column.
-    record_a = penetrating_string(ct_a, pair)
-    record_b = penetrating_string(ct_b, pair)
-    if (record_a.steps[-1].target_col, choices_a[pair]) < (record_b.steps[-1].target_col, choices_b[pair]):
-        ct_low, ct_high, excluded = ct_a, ct_b, trail_exclusions(roots_a, record_a)
+    # the differing pair lands in the further-right column, that of its
+    # special star line.
+    line_a, line_b = weierstrass_a.results[idx].line, weierstrass_b.results[idx].line
+    if (diagram.column_of(line_a[1]), choices_a[pair]) < (diagram.column_of(line_b[1]), choices_b[pair]):
+        ct_low, ct_high, line_low, line_rightmost = ct_a, ct_b, line_a, line_b
+        vanishing, section = vanishing_a.results[idx], weierstrass_b.results[idx]
     else:
-        ct_low, ct_high, excluded = ct_b, ct_a, trail_exclusions(roots_b, record_b)
+        ct_low, ct_high, line_low, line_rightmost = ct_b, ct_a, line_b, line_a
+        vanishing, section = vanishing_b.results[idx], weierstrass_a.results[idx]
     exchanged = (choices_a[pair], choices_b[pair])
     exchanged = (min(exchanged), max(exchanged))
 
-    line_low = special_star_line(ct_low, pair)
-    line_rightmost = special_star_line(ct_high, pair)
     labels_exchanged = (
         line_low in ct_low.v_support
         and line_low in ct_high.e_support
@@ -358,15 +354,14 @@ def injectivity_witness(
         and line_rightmost in ct_low.e_support
     )
 
+    excluded = vanishing.exclusions
     i_p, j_p = line_rightmost
     quadrant_clear = line_rightmost not in excluded and not any(
         k <= i_p and l >= j_p and (k, l) != (i_p, j_p) for k, l in excluded
     )
 
-    diagram = ct_low.diagram
-    specific = generator_vanishes(diagram, pair, excluded, symbolic_max_n)
-    section_point = ct_high.e_support | {line_rightmost}
-    value = restricted_generator(diagram, pair, frozenset(), section_point, symbolic_max_n).constant_value()
+    # the section point: the ones and the line, one of the kept stars, set to 1
+    value = section.rest.substitute({p: int(p == line_rightmost) for p in section.rest.variables()}).constant_value()
     return InjectivityWitness(
         pair,
         exchanged,
@@ -374,7 +369,7 @@ def injectivity_witness(
         line_rightmost,
         labels_exchanged,
         quadrant_clear,
-        specific,
+        vanishing.specific_ok,
         value,
     )
 

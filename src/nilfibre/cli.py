@@ -88,6 +88,8 @@ def _parse_checks(text: str) -> tuple[str, ...]:
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
         raise InvalidInput(f"unknown checks {sorted(unknown)}; known: {', '.join(ALL_CHECKS)}")
+    if len(set(checks)) != len(checks):
+        raise InvalidInput(f"repeated checks in {text!r}")
     return checks
 
 

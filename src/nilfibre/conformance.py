@@ -39,9 +39,10 @@ def verify_composition(
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
+    if len(set(checks)) != len(checks):
+        raise ValueError(f"repeated checks: {list(checks)}")
     parts = composition.parts
     tableaux = component_tableaux(parts)
-    all_roots = [excluded_roots(ct) for ct in tableaux]
     report: dict = {
         "schemaVersion": SCHEMA_VERSION,
         "composition": list(parts),
@@ -56,15 +57,22 @@ def verify_composition(
         "inconclusive": False,
     }
     modes: set[str] = set()
-    for idx, (ct, roots) in enumerate(zip(tableaux, all_roots)):
+    # injectivity reads each tableau's vanishing and Weierstrass results
+    vanishings, sections = [], []
+    for idx, ct in enumerate(tableaux):
+        roots = excluded_roots(ct)
         entry: dict = {"index": idx, "data": ct.choice_json()}
+        if "vanishing" in checks or "injectivity" in checks:
+            vanishings.append(vanishing_check(ct, roots, symbolic_max_n=symbolic_max_n))
+        if "weierstrass" in checks or "injectivity" in checks:
+            sections.append(weierstrass_check(ct, symbolic_max_n))
         if "vanishing" in checks:
-            result = vanishing_check(ct, roots, symbolic_max_n=symbolic_max_n)
+            result = vanishings[idx]
             modes.update(r.mode for r in result.results)
             entry["vanishing"] = result.to_json()
             report["pass"] &= result.ok
         if "weierstrass" in checks:
-            result = weierstrass_check(ct, symbolic_max_n)
+            result = sections[idx]
             entry["weierstrass"] = {
                 "ok": result.ok,
                 "variables": [list(r.variable) if r.variable else None for r in result.results],
@@ -91,7 +99,7 @@ def verify_composition(
         for a in range(len(tableaux)):
             for b in range(a + 1, len(tableaux)):
                 witness = injectivity_witness(
-                    tableaux[a], tableaux[b], all_roots[a], all_roots[b], symbolic_max_n
+                    tableaux[a], tableaux[b], vanishings[a], vanishings[b], sections[a], sections[b]
                 )
                 report["injectivityPairs"].append(
                     {"i": a, "j": b, "witness": witness.to_json()}

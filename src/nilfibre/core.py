@@ -183,7 +183,7 @@ def diagram_of(parts: tuple[int, ...]) -> Diagram:
     return _diagram_cached(tuple(parts))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # a sweep reads one composition's diagram at a time
 def _diagram_cached(parts: tuple[int, ...]) -> Diagram:
     return build_diagram(Composition(parts))
 

@@ -400,7 +400,7 @@ def chain_support(diagram: Diagram, pair: NeighbouringPair) -> frozenset[frozens
 
 def _expanded(diagram: Diagram, pair: NeighbouringPair, symbolic_max_n: int) -> bool:
     """Whether the checks read the pair's fully expanded generator: the
-    vanishing, Weierstrass and injectivity checks all route by this rule."""
+    vanishing and Weierstrass checks both route by this rule."""
     return len(interval_entries(diagram, pair)) <= symbolic_max_n
 
 
@@ -423,20 +423,6 @@ def restricted_generator(
     d, degree = boxes_below_band(diagram, pair), true_degree(diagram, pair)
     rest = _truncated_minor(diagram, pair, d, degree, symbolic, ones)
     return rest if _generator_sign(diagram, pair, d, degree) == 1 else -rest
-
-
-def generator_vanishes(
-    diagram: Diagram,
-    pair: NeighbouringPair,
-    zeroed: frozenset[Pos],
-    symbolic_max_n: int = DEFAULT_SYMBOLIC_MAX_N,
-) -> bool:
-    """Whether the generator is zero once the ``zeroed`` coordinates are.
-
-    Past ``symbolic_max_n`` the matching test decides it."""
-    if _expanded(diagram, pair, symbolic_max_n):
-        return invariant_for(diagram.parts, pair).polynomial.substitute({p: 0 for p in zeroed}).is_zero()
-    return _matching_vanishes(diagram, pair, _minor_cells(diagram, pair), zeroed)
 
 
 def _matching_vanishes(diagram: Diagram, pair: NeighbouringPair, cells: list[list], zeroed: frozenset[Pos]) -> bool:
@@ -463,6 +449,7 @@ class PairVanishing:
     specific_ok: bool
     global_witness: tuple | None
     specific_witness: tuple | None
+    exclusions: frozenset[Pos]  # the penetrating trail's, on which the specific claim was tested
 
 
 @dataclass(frozen=True)
@@ -532,7 +519,7 @@ def vanishing_check(
             g_ok, g_wit = _matching_zero(diagram, pair, cells, roots.excluded)
             s_ok, s_wit = _matching_zero(diagram, pair, cells, specific)
             mode = "randomized"
-        results.append(PairVanishing(pair, mode, g_ok, s_ok, g_wit, s_wit))
+        results.append(PairVanishing(pair, mode, g_ok, s_ok, g_wit, s_wit, specific))
     return VanishingReport(tuple(results))
 
 
@@ -542,6 +529,7 @@ class PairRestriction:
     variable: Pos | None  # the surviving star coordinate
     ok: bool
     rest: Poly
+    line: Pos  # the special star line the survivor must be
 
 
 @dataclass(frozen=True)
@@ -561,14 +549,14 @@ def weierstrass_restrict(
     everything else to 0.  The result must be plus-or-minus the single star
     coordinate picked out combinatorially."""
     rest = restricted_generator(ct.diagram, pair, ct.v_support, ct.e_support, symbolic_max_n)
-    expected = special_star_line(ct, pair)
+    line = special_star_line(ct, pair)
     single = None
     if len(rest.terms) == 1:
         (vars_, coeff), = rest.terms.items()
         if len(vars_) == 1 and coeff in (1, -1):
             single = vars_[0]
-    ok = single is not None and single == expected and single in ct.v_support
-    return PairRestriction(pair, single, ok, rest)
+    ok = single is not None and single == line and single in ct.v_support
+    return PairRestriction(pair, single, ok, rest, line)
 
 
 def weierstrass_check(ct: ComponentTableau, symbolic_max_n: int = DEFAULT_SYMBOLIC_MAX_N) -> WeierstrassReport:

@@ -2,27 +2,13 @@
 zero tolerance throughout) and reports one pass/fail line."""
 
 import json
-from itertools import combinations
 from pathlib import Path
 
-from nilfibre.analysis import (
-    covering_check,
-    injectivity_witness,
-    invariant_variable_disjointness,
-    jordan_type,
-    orbit_dimension,
-    tangent_dimension,
-)
+from nilfibre.analysis import invariant_variable_disjointness, jordan_type, orbit_dimension
 from nilfibre.builder import component_tableaux
-from nilfibre.conformance import compositions_of
-from nilfibre.core import diagram_of, neighbouring_pairs, true_degree
-from nilfibre.invariants import (
-    extract_invariant,
-    invariant_for,
-    symbolic_minor,
-    vanishing_check,
-    weierstrass_check,
-)
+from nilfibre.conformance import compositions_of, verify_composition
+from nilfibre.core import Composition, diagram_of, neighbouring_pairs, true_degree
+from nilfibre.invariants import extract_invariant, invariant_for, symbolic_minor
 from nilfibre.poly import Poly
 from nilfibre.roots import excluded_roots, hatted_tableau
 
@@ -130,60 +116,51 @@ def test_criterion_4_jordan_types():
     report(4, "nilpotency classes (4,2,1) and (3,2,2) with their orbit dimensions")
 
 
+def verified(max_n, check):
+    """The reports of one check alone on every composition of n <= max_n,
+    each asserted to pass."""
+    reports = []
+    for n in range(1, max_n + 1):
+        for parts in compositions_of(n):
+            result = verify_composition(Composition(parts), (check,))
+            assert result["pass"], (parts, check)
+            reports.append(result)
+    assert len(reports) == 2**max_n - 1
+    return reports
+
+
 def test_criterion_5_vanishing_sweep():
     instances = 0
-    for parts, ct in every_tableau(9):
-        result = vanishing_check(ct, excluded_roots(ct))
-        assert result.ok, (parts, result.to_json())
-        assert all(r.mode == "symbolic" for r in result.results)
-        instances += 1
+    for result in verified(9, "vanishing"):
+        assert all(r["mode"] == "symbolic" for entry in result["tableaux"] for r in entry["vanishing"])
+        instances += result["tableauCount"]
     # with the bound at 4 each spot composition has pairs on both routes
     spot = [(2, 1, 2, 1, 2, 2), (1, 3, 1, 3, 1, 1), (3, 2, 1, 1, 2, 2), (2, 1, 2, 1, 2, 1, 2)]
     for parts in spot:
         assert sum(parts) in (10, 11)
-        modes = set()
-        for ct in component_tableaux(parts):
-            result = vanishing_check(ct, excluded_roots(ct), symbolic_max_n=4)
-            assert result.ok, parts
-            modes.update(r.mode for r in result.results)
-        assert modes == {"symbolic", "randomized"}, parts
+        result = verify_composition(Composition(parts), ("vanishing",), symbolic_max_n=4)
+        assert result["pass"], parts
+        assert result["engineModes"] == ["randomized", "symbolic"], parts
     report(5, f"global and specific vanishing on {instances} tableaux (n<=9) plus randomized spot checks")
 
 
 def test_criterion_6_weierstrass_sweep():
-    for parts, ct in every_tableau(9):
-        assert len(ct.v_support) == len(neighbouring_pairs(ct.diagram)), parts
-        result = weierstrass_check(ct)
-        assert result.ok, (parts, [r.rest.to_json() for r in result.results if not r.ok])
+    verified(9, "weierstrass")
     report(6, "every restricted generator is a single starred coordinate, pairwise distinct (n<=9)")
 
 
 def test_criterion_7_dimension_sweep():
-    for parts, ct in every_tableau(9):
-        result = tangent_dimension(ct, excluded_roots(ct))
-        assert result.rank_u_plus_ne == result.dim_nilradical - result.generators, parts
-        assert result.ne_meets_y_trivially, parts
-        assert result.direct_sum_ok, parts
+    verified(9, "dimension")
     report(7, "exact rank identities of the tangent computation hold (n<=9)")
 
 
 def test_criterion_8_covering_sweep():
-    for parts, ct in every_tableau(9):
-        result = covering_check(ct, excluded_roots(ct))
-        assert result.ok and result.labels_ok, (parts, result.to_json())
+    verified(9, "covering")
     report(8, "covering of unstarred exclusions and label sanity hold (n<=9)")
 
 
 def test_criterion_9_injectivity_sweep():
-    pairs = 0
-    for n in range(1, 9):
-        for parts in compositions_of(n):
-            tableaux = component_tableaux(parts)
-            roots = [excluded_roots(ct) for ct in tableaux]
-            for a, b in combinations(range(len(tableaux)), 2):
-                witness = injectivity_witness(tableaux[a], tableaux[b], roots[a], roots[b])
-                assert witness.ok, (parts, witness.to_json())
-                pairs += 1
+    pairs = sum(len(result["injectivityPairs"]) for result in verified(8, "injectivity"))
     report(9, f"injectivity witness pipeline succeeded on {pairs} tableau pairs (n<=8)")
 
 

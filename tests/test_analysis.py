@@ -19,9 +19,18 @@ from nilfibre.analysis import (
 )
 from nilfibre.builder import component_tableaux
 from nilfibre.conformance import compositions_of, verify_composition
-from nilfibre.core import Composition, InternalConsistencyError, InvalidInput, diagram_of, neighbouring_pairs
+from nilfibre.core import Composition, InternalConsistencyError, InvalidInput, diagram_of, interval_entries, neighbouring_pairs
+from nilfibre.invariants import (
+    DEFAULT_SYMBOLIC_MAX_N,
+    _matching_vanishes,
+    _minor_cells,
+    invariant_for,
+    restricted_generator,
+    vanishing_check,
+    weierstrass_check,
+)
 from nilfibre.linalg import exact_rank
-from nilfibre.roots import ExcludedRootSet, excluded_roots
+from nilfibre.roots import ExcludedRootSet, excluded_roots, penetrating_string, special_star_line, trail_exclusions
 
 compositions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple)
 
@@ -290,9 +299,21 @@ def test_orbital_trivial():
     assert orbital_variety_test(ct, excluded_roots(ct), rng=Random(0)).status == "trivial"
 
 
+def witness_of(a, b, symbolic_max_n=DEFAULT_SYMBOLIC_MAX_N):
+    # the injectivity witness from the two tableaux's own check results
+    return injectivity_witness(
+        a,
+        b,
+        vanishing_check(a, excluded_roots(a), symbolic_max_n),
+        vanishing_check(b, excluded_roots(b), symbolic_max_n),
+        weierstrass_check(a, symbolic_max_n),
+        weierstrass_check(b, symbolic_max_n),
+    )
+
+
 def test_injectivity_2112():
     a, b = component_tableaux((2, 1, 1, 2))
-    w = injectivity_witness(a, b, excluded_roots(a), excluded_roots(b))
+    w = witness_of(a, b)
     assert w.ok
     assert w.exchanged == (2, 3)
     assert {w.line_low, w.line_rightmost} == {(2, 4), (3, 6)}
@@ -304,7 +325,7 @@ def test_injectivity_321321():
     ts = component_tableaux(parts)
     c5 = next(t for t in ts if t.pair_entry()[pair] == 5)
     c8 = next(t for t in ts if t.pair_entry()[pair] == 8)
-    w = injectivity_witness(c5, c8, excluded_roots(c5), excluded_roots(c8))
+    w = witness_of(c5, c8)
     assert w.ok
     assert w.line_rightmost == (8, 11)
 
@@ -315,7 +336,7 @@ def test_injectivity_321312():
     ts = component_tableaux(parts)
     c5 = next(t for t in ts if t.pair_entry()[pair] == 5)
     c8 = next(t for t in ts if t.pair_entry()[pair] == 8)
-    w = injectivity_witness(c5, c8, excluded_roots(c5), excluded_roots(c8))
+    w = witness_of(c5, c8)
     assert w.ok
     assert w.line_rightmost == (8, 10)
 
@@ -323,14 +344,97 @@ def test_injectivity_321312():
 def test_injectivity_rejects_same_data():
     a, b = component_tableaux((2, 1, 1, 2))
     with pytest.raises(InvalidInput):
-        injectivity_witness(a, a, excluded_roots(a), excluded_roots(a))
+        witness_of(a, a)
 
 
 def test_injectivity_small_sweep(small_compositions):
     for parts in small_compositions:
         ts = component_tableaux(parts)
         for a, b in combinations(ts, 2):
-            assert injectivity_witness(a, b, excluded_roots(a), excluded_roots(b)).ok, parts
+            assert witness_of(a, b).ok, parts
+
+
+def _recomputed_witness(a, b, symbolic_max_n):
+    """The route injectivity replaced: the order from both penetrating
+    trails, then the lower tableau's trail exclusions zeroed and the
+    generator evaluated at the higher tableau's section point, substituted
+    into the expanded generator within the bound and decided by the
+    assignment and the restricted minor past it."""
+    d = a.diagram
+    pair = next(p for p in neighbouring_pairs(d) if a.pair_entry()[p] != b.pair_entry()[p])
+    record_a, record_b = penetrating_string(a, pair), penetrating_string(b, pair)
+    if (record_a.steps[-1].target_col, a.pair_entry()[pair]) < (record_b.steps[-1].target_col, b.pair_entry()[pair]):
+        low, high, record = a, b, record_a
+    else:
+        low, high, record = b, a, record_b
+    excluded = trail_exclusions(excluded_roots(low), record)
+    if len(interval_entries(d, pair)) <= symbolic_max_n:
+        specific = invariant_for(d.parts, pair).polynomial.substitute({p: 0 for p in excluded}).is_zero()
+    else:
+        specific = _matching_vanishes(d, pair, _minor_cells(d, pair), excluded)
+    line_low, line_high = special_star_line(low, pair), special_star_line(high, pair)
+    i_p, j_p = line_high
+    value = restricted_generator(d, pair, frozenset(), high.e_support | {line_high}, symbolic_max_n).constant_value()
+    return analysis.InjectivityWitness(
+        pair,
+        tuple(sorted((a.pair_entry()[pair], b.pair_entry()[pair]))),
+        line_low,
+        line_high,
+        line_low in low.v_support
+        and line_low in high.e_support
+        and line_high in high.v_support
+        and line_high in low.e_support,
+        line_high not in excluded
+        and not any(k <= i_p and l >= j_p and (k, l) != line_high for k, l in excluded),
+        specific,
+        value,
+    )
+
+
+@pytest.mark.parametrize("symbolic_max_n", [DEFAULT_SYMBOLIC_MAX_N, 0])
+def test_injectivity_matches_the_recomputed_route(symbolic_max_n):
+    # every tableau pair of n <= 9, and two compositions of 11 with a pair of
+    # tableaux that first differ on the full-span pair, past the default bound
+    cases = [parts for n in range(1, 10) for parts in compositions_of(n)] + [(3, 1, 2, 2, 3), (2, 1, 1, 5, 2)]
+    compared, past = 0, 0
+    for parts in cases:
+        ts = component_tableaux(parts)
+        for a, b in combinations(ts, 2):
+            w = witness_of(a, b, symbolic_max_n)
+            assert w == _recomputed_witness(a, b, symbolic_max_n), (parts, a, b)
+            compared += 1
+            past += len(interval_entries(a.diagram, w.pair)) > symbolic_max_n
+    assert compared == 290
+    assert past == (2 if symbolic_max_n else 290)
+
+
+@pytest.mark.parametrize("symbolic_max_n", [DEFAULT_SYMBOLIC_MAX_N, 0])
+def test_injectivity_alone_reports_what_all_checks_report(symbolic_max_n):
+    for n in range(1, 9):
+        for parts in compositions_of(n):
+            c = Composition(parts)
+            alone = verify_composition(c, ("injectivity",), symbolic_max_n=symbolic_max_n)
+            everything = verify_composition(c, symbolic_max_n=symbolic_max_n)
+            assert alone["injectivityPairs"] == everything["injectivityPairs"], parts
+
+
+def test_injectivity_reads_results_and_recomputes_nothing(monkeypatch):
+    from nilfibre import invariants, roots
+
+    parts = (2, 1, 2, 1, 2, 1)
+    ts = component_tableaux(parts)
+    vanishings = [vanishing_check(ct, excluded_roots(ct)) for ct in ts]
+    sections = [weierstrass_check(ct) for ct in ts]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("injectivity recomputed a check's fact")
+
+    for module in (analysis, roots, invariants):
+        for name in ("penetrating_string", "restricted_generator", "trail_exclusions", "special_star_line"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    for a, b in combinations(range(len(ts)), 2):
+        w = injectivity_witness(ts[a], ts[b], vanishings[a], vanishings[b], sections[a], sections[b])
+        assert w.ok, parts
 
 
 def test_partition_disjoint_variables(small_compositions):

@@ -20,7 +20,6 @@ from nilfibre.invariants import (
     DEFAULT_SYMBOLIC_MAX_N,
     chain_support,
     extract_invariant,
-    generator_vanishes,
     invariant_for,
     restricted_generator,
     symbolic_minor,
@@ -341,9 +340,9 @@ def test_restricted_minor_with_every_cell_symbolic_is_the_generator():
 
 
 def test_matching_zero_test_matches_substitution():
-    # both past-bound zero tests, generator_vanishes and vanishing's answer
-    # with its witness, against the expanded generator's substitution within
-    # the bound and against the disjoint chains past it
+    # the past-bound zero test, vanishing's answer with its witness, against
+    # the expanded generator's substitution within the bound and against the
+    # disjoint chains past it
     from nilfibre.invariants import _matching_zero, _minor_cells
 
     cases = [parts for n in range(1, 10) for parts in compositions_of(n)] + [(5, 3, 5), (4, 1, 2, 2, 4)]
@@ -364,7 +363,6 @@ def test_matching_zero_test_matches_substitution():
             for pair in pairs:
                 for zeroed in (roots.excluded, trail_exclusions(roots, penetrating_string(ct, pair)), frozenset()):
                     zero = expected(pair, zeroed)
-                    assert generator_vanishes(d, pair, zeroed, symbolic_max_n=0) == zero, (parts, pair, zeroed)
                     witness = None if zero else ("nonzero evaluation",)
                     assert _matching_zero(d, pair, cells[pair], zeroed) == (zero, witness), (parts, pair, zeroed)
                     outcomes.append(zero)

@@ -113,6 +113,18 @@ def test_usage_errors():
     assert main(["bogus-subcommand"]) == 1
 
 
+@pytest.mark.parametrize("checks", ["vanishing,vanishing", "covering,dimension,covering"])
+def test_repeated_checks_are_rejected(tmp_path, checks):
+    from nilfibre.conformance import verify_composition
+    from nilfibre.core import Composition
+
+    out = tmp_path / "report"
+    assert main(["verify", "--composition", "2,1,1,2", "--checks", checks, "--out", str(out)]) == 1
+    assert not out.exists()
+    with pytest.raises(ValueError, match="repeated"):
+        verify_composition(Composition((2, 1, 1, 2)), tuple(checks.split(",")))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -237,6 +249,16 @@ def test_sweep_holds_one_report_at_a_time(tmp_path, monkeypatch):
     assert main(["sweep", "--n", "8", "--checks", "all", "--out", str(tmp_path / "out")]) == 0
     assert len(live_at_call) == 255
     assert max(live_at_call) <= 1
+
+
+def test_sweep_keeps_a_bounded_diagram_cache(tmp_path):
+    from nilfibre.core import _diagram_cached
+
+    _diagram_cached.cache_clear()
+    assert main(["sweep", "--n", "8", "--checks", "all", "--out", str(tmp_path / "out")]) == 0
+    info = _diagram_cached.cache_info()
+    assert info.currsize <= info.maxsize == 16
+    assert info.misses == 255  # each composition's diagram is still built once
 
 
 def test_sweep_rejects_a_file_as_out_before_verifying(tmp_path, monkeypatch):
@@ -450,7 +472,7 @@ def test_verify_violation_exit_code(tmp_path, monkeypatch):
         from nilfibre.core import neighbouring_pairs
 
         results = tuple(
-            PairVanishing(p, "symbolic", False, False, ((1, 2),), ((1, 2),))
+            PairVanishing(p, "symbolic", False, False, ((1, 2),), ((1, 2),), exclusions=frozenset())
             for p in neighbouring_pairs(ct.diagram)
         )
         return VanishingReport(results)
