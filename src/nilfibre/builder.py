@@ -81,7 +81,6 @@ class ExtendedTableau:
     diagram: Diagram
     columns: tuple[tuple[int, ...], ...]
     moves: tuple[Move, ...]
-    stage: int  # last completed row
     _trails: dict[int, tuple[tuple[int, int], ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -287,17 +286,6 @@ def extend_all(diagram: Diagram) -> tuple[ExtendedTableau, ...]:
     hard_cap = max_height + len(all_pairs) + 2
     results: list[ExtendedTableau] = []
 
-    def finalize(state: _State, stage: int) -> None:
-        if state.used != all_pairs:
-            return
-        ext = ExtendedTableau(
-            diagram,
-            tuple(tuple(col) for col in state.cols),
-            tuple(state.moves),
-            stage,
-        )
-        results.append(ext)
-
     def run(state: _State, stage: int) -> None:
         if stage > hard_cap:
             raise ConstructionViolation("stage cap exceeded; stabilization failed")
@@ -312,7 +300,8 @@ def extend_all(diagram: Diagram) -> tuple[ExtendedTableau, ...]:
             _apply(branch, subset)
             _translate(branch, stage)
             if not subset and stage >= max_height:
-                finalize(branch, stage)
+                if branch.used == all_pairs:
+                    results.append(ExtendedTableau(diagram, tuple(tuple(col) for col in branch.cols), tuple(branch.moves)))
             else:
                 run(branch, stage + 1)
 

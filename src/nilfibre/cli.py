@@ -20,7 +20,6 @@ from typing import TextIO
 from .builder import component_tableaux
 from .conformance import ALL_CHECKS, SCHEMA_VERSION, sweep, verify_composition
 from .core import Composition, InvalidInput, diagram_of
-from .invariants import DEFAULT_SYMBOLIC_MAX_N
 from .render import latex_component, latex_matrix, render_component, render_matrix
 from .roots import excluded_roots
 
@@ -97,9 +96,7 @@ def cmd_verify(args) -> int:
     composition = Composition.parse(args.composition)
     checks = _parse_checks(args.checks)
     started = time.monotonic()
-    report = verify_composition(
-        composition, checks, seed=args.seed, symbolic_max_n=args.symbolic_max_n
-    )
+    report = verify_composition(composition, checks, seed=args.seed)
     print(f"verify {composition}: {time.monotonic() - started:.2f}s", file=sys.stderr)
     _write(_dump(report), args.out)
     if not report["pass"]:
@@ -146,13 +143,7 @@ def cmd_sweep(args) -> int:
         # a bad --out fails here, before any composition is verified
         os.makedirs(args.out, exist_ok=True)
     started = time.monotonic()
-    reports = sweep(
-        args.n,
-        checks,
-        seed=args.seed,
-        symbolic_max_n=args.symbolic_max_n,
-        threads=args.threads,
-    )
+    reports = sweep(args.n, checks, seed=args.seed, threads=args.threads)
     per_n: dict[str, dict] = {}
     failures: list[list[int]] = []
     inconclusive = False
@@ -203,20 +194,14 @@ def cmd_sweep(args) -> int:
     return EXIT_PASS
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    return parse
-
-
-_positive_int = _int_at_least(1)
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _thread_count(text: str) -> int:
@@ -235,12 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output file (default stdout)")
     common.add_argument("--seed", type=int, default=0, help="seed of the orbital check's random samples")
     common.add_argument("--threads", type=_thread_count, default=1, help="worker processes, at most the CPU count")
-    common.add_argument(
-        "--symbolic-max-n",
-        type=_int_at_least(0),
-        default=DEFAULT_SYMBOLIC_MAX_N,
-        help="largest interval handled by full symbolic expansion",
-    )
 
     enum = sub.add_parser("enumerate", help="list the component tableaux")
     enum.add_argument("--composition", required=True)

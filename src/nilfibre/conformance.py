@@ -18,7 +18,7 @@ from .analysis import (
 )
 from .builder import component_tableaux
 from .core import Composition
-from .invariants import DEFAULT_SYMBOLIC_MAX_N, vanishing_check, weierstrass_check
+from .invariants import vanishing_check, weierstrass_check
 from .roots import excluded_roots
 
 ALL_CHECKS = ("vanishing", "weierstrass", "covering", "dimension", "injectivity", "orbital")
@@ -33,7 +33,6 @@ def verify_composition(
     composition: Composition,
     checks: tuple[str, ...] = ALL_CHECKS,
     seed: int = 0,
-    symbolic_max_n: int = DEFAULT_SYMBOLIC_MAX_N,
 ) -> dict:
     """Run the selected theorem checks on every tableau of the composition."""
     unknown = set(checks) - set(ALL_CHECKS)
@@ -63,9 +62,9 @@ def verify_composition(
         roots = excluded_roots(ct)
         entry: dict = {"index": idx, "data": ct.choice_json()}
         if "vanishing" in checks or "injectivity" in checks:
-            vanishings.append(vanishing_check(ct, roots, symbolic_max_n=symbolic_max_n))
+            vanishings.append(vanishing_check(ct, roots))
         if "weierstrass" in checks or "injectivity" in checks:
-            sections.append(weierstrass_check(ct, symbolic_max_n))
+            sections.append(weierstrass_check(ct))
         if "vanishing" in checks:
             result = vanishings[idx]
             modes.update(r.mode for r in result.results)
@@ -128,17 +127,12 @@ def sweep(
     bound: int,
     checks: tuple[str, ...] = ALL_CHECKS,
     seed: int = 0,
-    symbolic_max_n: int = DEFAULT_SYMBOLIC_MAX_N,
     threads: int = 1,
 ) -> Iterator[dict]:
     """Verify every composition of every n <= bound and yield each report as
     it completes, n by n in cut-set order; a failing report is yielded like
     any other."""
-    args = (
-        (parts, checks, seed, symbolic_max_n)
-        for n in range(1, bound + 1)
-        for parts in compositions_of(n)
-    )
+    args = ((parts, checks, seed) for n in range(1, bound + 1) for parts in compositions_of(n))
     if threads > 1:
         import multiprocessing
 
@@ -151,5 +145,5 @@ def sweep(
 
 
 def _verify_job(args) -> dict:
-    parts, checks, seed, symbolic_max_n = args
-    return verify_composition(Composition(parts), checks, seed, symbolic_max_n)
+    parts, checks, seed = args
+    return verify_composition(Composition(parts), checks, seed)

@@ -13,7 +13,7 @@ Extraction expands the minor only up to a^d, with each term held as a
 parameter power and a bitmask of variables.  ``symbolic_minor`` is the full
 expansion, one ``Poly`` per power of the parameter, kept as the reference
 the tests compare against; nothing else holds the parameter.
-For a pair whose interval exceeds ``symbolic_max_n`` the generator is never
+For a pair whose interval exceeds ``SYMBOLIC_MAX_N`` the generator is never
 expanded: its restrictions and values come from the same truncated
 expansion on a restricted minor, its sign and zero tests from a min-cost
 perfect matching of the minor's cells.  No monomial cancels, so both zero
@@ -44,7 +44,9 @@ from .builder import ComponentTableau
 from .poly import Poly
 from .roots import ExcludedRootSet, penetrating_string, special_star_line, trail_exclusions
 
-DEFAULT_SYMBOLIC_MAX_N = 10
+# The largest interval whose generator the checks expand; past it they read
+# restricted minors and matchings, which are slower on small intervals.
+SYMBOLIC_MAX_N = 10
 
 
 def _minor_cells(diagram: Diagram, pair: NeighbouringPair) -> list[list]:
@@ -260,17 +262,16 @@ def _min_cost_matching(costs: list[list[int | None]]) -> list[int] | None:
     return match
 
 
-def _generator_sign(diagram: Diagram, pair: NeighbouringPair, d: int, degree: int) -> int:
+def _generator_sign(diagram: Diagram, pair: NeighbouringPair, d: int) -> int:
     """The sign that ``sign_normalized`` gives the coefficient of ``a^d``:
     that coefficient's value on its lexicographically least monomial.
 
-    Each monomial comes from exactly one permutation of the minor, with
-    coefficient +-1.  With N variable cells, a parameter cell costs
-    2^(N+2) and the k-th variable cell in sorted position order -2^(N-k),
-    so a minimum-cost perfect matching takes the fewest parameter cells,
-    d, and then, each weight exceeding the sum of all later ones, the least
-    monomial.  The restricted minor with just that monomial's cells set to
-    1 is its coefficient."""
+    Each monomial comes from exactly one permutation of the minor, with all
+    its cells equal to 1, so its coefficient is that permutation's sign.
+    With N variable cells, a parameter cell costs 2^(N+2) and the k-th
+    variable cell in sorted position order -2^(N-k), so a minimum-cost
+    perfect matching takes the fewest parameter cells, d, and then, each
+    weight exceeding the sum of all later ones, the least monomial."""
     cells = _minor_cells(diagram, pair)
     positions = sorted(cell for line in cells for cell in line if cell not in (None, "a"))
     weight: dict = {pos: -(1 << (len(positions) - k)) for k, pos in enumerate(positions)}
@@ -278,11 +279,10 @@ def _generator_sign(diagram: Diagram, pair: NeighbouringPair, d: int, degree: in
     match = _min_cost_matching([[None if cell is None else weight[cell] for cell in line] for line in cells])
     if match is None:
         raise InternalConsistencyError(f"the minor of {pair} has no perfect matching")
-    least = frozenset(cells[r][q] for r, q in enumerate(match)) - {"a"}
-    sign = _truncated_minor(diagram, pair, d, degree, frozenset(), least).constant_value()
-    if sign not in (1, -1):
-        raise InternalConsistencyError(f"least monomial of {pair} has coefficient {sign}")
-    return sign
+    if sum(cells[r][q] == "a" for r, q in enumerate(match)) != d:
+        raise InternalConsistencyError(f"the least monomial of {pair} is not at the power a^{d}")
+    inversions = sum(p > q for p, q in combinations(match, 2))
+    return -1 if inversions & 1 else 1
 
 
 def extract_invariant(
@@ -398,10 +398,10 @@ def chain_support(diagram: Diagram, pair: NeighbouringPair) -> frozenset[frozens
     return frozenset(results)
 
 
-def _expanded(diagram: Diagram, pair: NeighbouringPair, symbolic_max_n: int) -> bool:
+def _expanded(diagram: Diagram, pair: NeighbouringPair) -> bool:
     """Whether the checks read the pair's fully expanded generator: the
     vanishing and Weierstrass checks both route by this rule."""
-    return len(interval_entries(diagram, pair)) <= symbolic_max_n
+    return len(interval_entries(diagram, pair)) <= SYMBOLIC_MAX_N
 
 
 def restricted_generator(
@@ -409,20 +409,19 @@ def restricted_generator(
     pair: NeighbouringPair,
     symbolic: frozenset[Pos],
     ones: frozenset[Pos],
-    symbolic_max_n: int = DEFAULT_SYMBOLIC_MAX_N,
 ) -> Poly:
     """The generator with the coordinates in ``symbolic`` kept, the others
     in ``ones`` set to 1 and all the rest to 0.
 
-    Up to ``symbolic_max_n`` the expanded generator is substituted into;
+    Up to ``SYMBOLIC_MAX_N`` the expanded generator is substituted into;
     past it, the truncated expansion runs on the restricted minor and one
     assignment gives the sign, so the generator is never expanded."""
-    if _expanded(diagram, pair, symbolic_max_n):
+    if _expanded(diagram, pair):
         poly = invariant_for(diagram.parts, pair).polynomial
         return poly.substitute({pos: int(pos in ones) for pos in poly.variables() if pos not in symbolic})
     d, degree = boxes_below_band(diagram, pair), true_degree(diagram, pair)
     rest = _truncated_minor(diagram, pair, d, degree, symbolic, ones)
-    return rest if _generator_sign(diagram, pair, d, degree) == 1 else -rest
+    return rest if _generator_sign(diagram, pair, d) == 1 else -rest
 
 
 def _matching_vanishes(diagram: Diagram, pair: NeighbouringPair, cells: list[list], zeroed: frozenset[Pos]) -> bool:
@@ -493,23 +492,19 @@ def _matching_zero(diagram: Diagram, pair: NeighbouringPair, cells: list[list], 
     return False, ("nonzero evaluation",)
 
 
-def vanishing_check(
-    ct: ComponentTableau,
-    roots: ExcludedRootSet,
-    symbolic_max_n: int = DEFAULT_SYMBOLIC_MAX_N,
-) -> VanishingReport:
+def vanishing_check(ct: ComponentTableau, roots: ExcludedRootSet) -> VanishingReport:
     """Every generator must die when the excluded coordinates are zeroed
     (global mode), and each generator already dies under the exclusions of its
     own penetrating trail (specific mode).
 
-    Past ``symbolic_max_n`` both are decided by the matching test; the mode
+    Past ``SYMBOLIC_MAX_N`` both are decided by the matching test; the mode
     keeps schema 1's name for that route, "randomized", and a surviving
     generator's witness is its label, not a monomial."""
     diagram = ct.diagram
     results = []
     for pair in neighbouring_pairs(diagram):
         specific = trail_exclusions(roots, penetrating_string(ct, pair))
-        if _expanded(diagram, pair, symbolic_max_n):
+        if _expanded(diagram, pair):
             record = invariant_for(diagram.parts, pair)
             g_ok, g_wit = _symbolic_zero(record, roots.excluded)
             s_ok, s_wit = _symbolic_zero(record, specific)
@@ -542,13 +537,11 @@ class WeierstrassReport:
         return self.distinct and all(r.ok for r in self.results)
 
 
-def weierstrass_restrict(
-    ct: ComponentTableau, pair: NeighbouringPair, symbolic_max_n: int = DEFAULT_SYMBOLIC_MAX_N
-) -> PairRestriction:
+def weierstrass_restrict(ct: ComponentTableau, pair: NeighbouringPair) -> PairRestriction:
     """Restrict the generator to the section: ones to 1, stars kept symbolic,
     everything else to 0.  The result must be plus-or-minus the single star
     coordinate picked out combinatorially."""
-    rest = restricted_generator(ct.diagram, pair, ct.v_support, ct.e_support, symbolic_max_n)
+    rest = restricted_generator(ct.diagram, pair, ct.v_support, ct.e_support)
     line = special_star_line(ct, pair)
     single = None
     if len(rest.terms) == 1:
@@ -559,8 +552,8 @@ def weierstrass_restrict(
     return PairRestriction(pair, single, ok, rest, line)
 
 
-def weierstrass_check(ct: ComponentTableau, symbolic_max_n: int = DEFAULT_SYMBOLIC_MAX_N) -> WeierstrassReport:
-    results = tuple(weierstrass_restrict(ct, pair, symbolic_max_n) for pair in neighbouring_pairs(ct.diagram))
+def weierstrass_check(ct: ComponentTableau) -> WeierstrassReport:
+    results = tuple(weierstrass_restrict(ct, pair) for pair in neighbouring_pairs(ct.diagram))
     seen = [r.variable for r in results if r.variable is not None]
     distinct = len(seen) == len(set(seen))
     return WeierstrassReport(results, distinct)

@@ -68,8 +68,6 @@ class ShiftedTableau:
     j_list: tuple[int, ...]
     columns: tuple[tuple[int, ...], ...]
     displaced: tuple[int, ...]  # entries moved by the secondary shifting
-    anchor_col: int  # column of ``entry`` in the diagram
-    leftmost_col: int  # column where the displacement chain stops
 
     def word(self) -> tuple[int, ...]:
         return word_form(self.columns)
@@ -117,16 +115,8 @@ def shifted_tableau(diagram: Diagram, entry: int, j_list: tuple[int, ...]) -> Sh
             f"{j_list} is not the bottom of column {source + 1}"
         )
     del cols[source][-len(j_list):]
-    anchor, leftmost, displaced = _place_below(diagram, cols, entry, list(j_list))
-    return ShiftedTableau(
-        diagram,
-        entry,
-        tuple(j_list),
-        tuple(tuple(c) for c in cols),
-        displaced,
-        anchor,
-        leftmost,
-    )
+    _, _, displaced = _place_below(diagram, cols, entry, list(j_list))
+    return ShiftedTableau(diagram, entry, tuple(j_list), tuple(tuple(c) for c in cols), displaced)
 
 
 @dataclass(frozen=True)
@@ -290,8 +280,6 @@ class HattedTableau:
     entry: int
     columns: tuple[tuple[int, ...], ...]
     stacked: tuple[int, ...]  # the amalgamated partial column, top down
-    anchor_col: int
-    leftmost_col: int
     virtual_degree: int
 
     def word(self) -> tuple[int, ...]:
@@ -346,8 +334,6 @@ def hatted_tableau(ct: ComponentTableau, pair: NeighbouringPair) -> HattedTablea
         record.entry,
         tuple(tuple(c) for c in cols),
         tuple(stacked),
-        anchor,
-        leftmost,
         virtual,
     )
 

@@ -1,5 +1,6 @@
 import pytest
 
+from nilfibre import invariants
 from nilfibre.conformance import compositions_of
 
 
@@ -10,3 +11,10 @@ def all_compositions(max_n: int) -> list[tuple[int, ...]]:
 @pytest.fixture(scope="session")
 def small_compositions() -> list[tuple[int, ...]]:
     return all_compositions(7)
+
+
+@pytest.fixture
+def restricted_route(monkeypatch):
+    # a routing bound of 0 sends every pair past it: no generator is
+    # expanded, restricted minors and matchings decide everything
+    monkeypatch.setattr(invariants, "SYMBOLIC_MAX_N", 0)

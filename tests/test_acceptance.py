@@ -4,6 +4,7 @@ zero tolerance throughout) and reports one pass/fail line."""
 import json
 from pathlib import Path
 
+from nilfibre import invariants
 from nilfibre.analysis import invariant_variable_disjointness, jordan_type, orbit_dimension
 from nilfibre.builder import component_tableaux
 from nilfibre.conformance import compositions_of, verify_composition
@@ -129,16 +130,17 @@ def verified(max_n, check):
     return reports
 
 
-def test_criterion_5_vanishing_sweep():
+def test_criterion_5_vanishing_sweep(monkeypatch):
     instances = 0
     for result in verified(9, "vanishing"):
         assert all(r["mode"] == "symbolic" for entry in result["tableaux"] for r in entry["vanishing"])
         instances += result["tableauCount"]
     # with the bound at 4 each spot composition has pairs on both routes
+    monkeypatch.setattr(invariants, "SYMBOLIC_MAX_N", 4)
     spot = [(2, 1, 2, 1, 2, 2), (1, 3, 1, 3, 1, 1), (3, 2, 1, 1, 2, 2), (2, 1, 2, 1, 2, 1, 2)]
     for parts in spot:
         assert sum(parts) in (10, 11)
-        result = verify_composition(Composition(parts), ("vanishing",), symbolic_max_n=4)
+        result = verify_composition(Composition(parts), ("vanishing",))
         assert result["pass"], parts
         assert result["engineModes"] == ["randomized", "symbolic"], parts
     report(5, f"global and specific vanishing on {instances} tableaux (n<=9) plus randomized spot checks")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nilfibre.analysis as analysis
+import nilfibre.invariants as invariants
 from nilfibre.analysis import (
     covering_check,
     injectivity_witness,
@@ -21,7 +22,7 @@ from nilfibre.builder import component_tableaux
 from nilfibre.conformance import compositions_of, verify_composition
 from nilfibre.core import Composition, InternalConsistencyError, InvalidInput, diagram_of, interval_entries, neighbouring_pairs
 from nilfibre.invariants import (
-    DEFAULT_SYMBOLIC_MAX_N,
+    SYMBOLIC_MAX_N,
     _matching_vanishes,
     _minor_cells,
     invariant_for,
@@ -299,15 +300,15 @@ def test_orbital_trivial():
     assert orbital_variety_test(ct, excluded_roots(ct), rng=Random(0)).status == "trivial"
 
 
-def witness_of(a, b, symbolic_max_n=DEFAULT_SYMBOLIC_MAX_N):
+def witness_of(a, b):
     # the injectivity witness from the two tableaux's own check results
     return injectivity_witness(
         a,
         b,
-        vanishing_check(a, excluded_roots(a), symbolic_max_n),
-        vanishing_check(b, excluded_roots(b), symbolic_max_n),
-        weierstrass_check(a, symbolic_max_n),
-        weierstrass_check(b, symbolic_max_n),
+        vanishing_check(a, excluded_roots(a)),
+        vanishing_check(b, excluded_roots(b)),
+        weierstrass_check(a),
+        weierstrass_check(b),
     )
 
 
@@ -354,7 +355,7 @@ def test_injectivity_small_sweep(small_compositions):
             assert witness_of(a, b).ok, parts
 
 
-def _recomputed_witness(a, b, symbolic_max_n):
+def _recomputed_witness(a, b, bound):
     """The route injectivity replaced: the order from both penetrating
     trails, then the lower tableau's trail exclusions zeroed and the
     generator evaluated at the higher tableau's section point, substituted
@@ -368,13 +369,13 @@ def _recomputed_witness(a, b, symbolic_max_n):
     else:
         low, high, record = b, a, record_b
     excluded = trail_exclusions(excluded_roots(low), record)
-    if len(interval_entries(d, pair)) <= symbolic_max_n:
+    if len(interval_entries(d, pair)) <= bound:
         specific = invariant_for(d.parts, pair).polynomial.substitute({p: 0 for p in excluded}).is_zero()
     else:
         specific = _matching_vanishes(d, pair, _minor_cells(d, pair), excluded)
     line_low, line_high = special_star_line(low, pair), special_star_line(high, pair)
     i_p, j_p = line_high
-    value = restricted_generator(d, pair, frozenset(), high.e_support | {line_high}, symbolic_max_n).constant_value()
+    value = restricted_generator(d, pair, frozenset(), high.e_support | {line_high}).constant_value()
     return analysis.InjectivityWitness(
         pair,
         tuple(sorted((a.pair_entry()[pair], b.pair_entry()[pair]))),
@@ -391,35 +392,37 @@ def _recomputed_witness(a, b, symbolic_max_n):
     )
 
 
-@pytest.mark.parametrize("symbolic_max_n", [DEFAULT_SYMBOLIC_MAX_N, 0])
-def test_injectivity_matches_the_recomputed_route(symbolic_max_n):
+@pytest.mark.parametrize("bound", [SYMBOLIC_MAX_N, 0])
+def test_injectivity_matches_the_recomputed_route(monkeypatch, bound):
     # every tableau pair of n <= 9, and two compositions of 11 with a pair of
     # tableaux that first differ on the full-span pair, past the default bound
+    monkeypatch.setattr(invariants, "SYMBOLIC_MAX_N", bound)
     cases = [parts for n in range(1, 10) for parts in compositions_of(n)] + [(3, 1, 2, 2, 3), (2, 1, 1, 5, 2)]
     compared, past = 0, 0
     for parts in cases:
         ts = component_tableaux(parts)
         for a, b in combinations(ts, 2):
-            w = witness_of(a, b, symbolic_max_n)
-            assert w == _recomputed_witness(a, b, symbolic_max_n), (parts, a, b)
+            w = witness_of(a, b)
+            assert w == _recomputed_witness(a, b, bound), (parts, a, b)
             compared += 1
-            past += len(interval_entries(a.diagram, w.pair)) > symbolic_max_n
+            past += len(interval_entries(a.diagram, w.pair)) > bound
     assert compared == 290
-    assert past == (2 if symbolic_max_n else 290)
+    assert past == (2 if bound else 290)
 
 
-@pytest.mark.parametrize("symbolic_max_n", [DEFAULT_SYMBOLIC_MAX_N, 0])
-def test_injectivity_alone_reports_what_all_checks_report(symbolic_max_n):
+@pytest.mark.parametrize("bound", [SYMBOLIC_MAX_N, 0])
+def test_injectivity_alone_reports_what_all_checks_report(monkeypatch, bound):
+    monkeypatch.setattr(invariants, "SYMBOLIC_MAX_N", bound)
     for n in range(1, 9):
         for parts in compositions_of(n):
             c = Composition(parts)
-            alone = verify_composition(c, ("injectivity",), symbolic_max_n=symbolic_max_n)
-            everything = verify_composition(c, symbolic_max_n=symbolic_max_n)
+            alone = verify_composition(c, ("injectivity",))
+            everything = verify_composition(c)
             assert alone["injectivityPairs"] == everything["injectivityPairs"], parts
 
 
 def test_injectivity_reads_results_and_recomputes_nothing(monkeypatch):
-    from nilfibre import invariants, roots
+    from nilfibre import roots
 
     parts = (2, 1, 2, 1, 2, 1)
     ts = component_tableaux(parts)

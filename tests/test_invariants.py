@@ -15,9 +15,10 @@ from nilfibre.core import (
     diagram_of,
     interval_entries,
     neighbouring_pairs,
+    true_degree,
 )
 from nilfibre.invariants import (
-    DEFAULT_SYMBOLIC_MAX_N,
+    SYMBOLIC_MAX_N,
     chain_support,
     extract_invariant,
     invariant_for,
@@ -190,14 +191,14 @@ def test_nonvanishing_witness_reported():
     assert failing and all(r.global_witness for r in failing)
 
 
-def test_randomized_engine_agrees():
+def test_randomized_engine_agrees(restricted_route):
     for parts in [(2, 1, 1, 2), (1, 2, 1, 2), (2, 1, 1, 1, 2)]:
         for ct in component_tableaux(parts):
             roots = excluded_roots(ct)
-            assert vanishing_check(ct, roots, symbolic_max_n=0).ok
+            assert vanishing_check(ct, roots).ok
 
 
-def test_randomized_engine_detects_nonzero():
+def test_randomized_engine_detects_nonzero(restricted_route):
     # past the bound a surviving generator is reported under schema 1's
     # names: mode "randomized" and a witness that spells out its label
     ct = by_stars((2, 1, 1, 2), {(3, 4), (3, 6)})
@@ -205,7 +206,7 @@ def test_randomized_engine_detects_nonzero():
 
     smaller = frozenset({(3, 4)})
     fake = ExcludedRootSet(ct.diagram, (), smaller, ct.diagram.nilradical_positions() - smaller)
-    report = vanishing_check(ct, fake, symbolic_max_n=0)
+    report = vanishing_check(ct, fake)
     assert not report.ok
     spelled = [list("nonzero evaluation")]
     assert report.to_json() == [
@@ -322,9 +323,9 @@ def test_truncated_extraction_keeps_the_valuation_guard(monkeypatch):
         extract_invariant(d, pair)
 
 
-def test_restricted_minor_with_every_cell_symbolic_is_the_generator():
+def test_restricted_minor_with_every_cell_symbolic_is_the_generator(restricted_route):
     # past the bound the sign comes from one assignment, not from the
-    # expanded generator's least monomial; symbolic_max_n=0 forces that route
+    # expanded generator's least monomial; a bound of 0 forces that route
     cases = [
         (parts, pair)
         for n in range(1, 10)
@@ -334,9 +335,54 @@ def test_restricted_minor_with_every_cell_symbolic_is_the_generator():
     cases += [(parts, full_span_pair(parts)) for parts in ((5, 3, 5), (4, 1, 2, 2, 4))]
     for parts, pair in cases:
         d = diagram_of(parts)
-        restricted = restricted_generator(d, pair, d.nilradical_positions(), frozenset(), symbolic_max_n=0)
+        restricted = restricted_generator(d, pair, d.nilradical_positions(), frozenset())
         assert restricted == extract_invariant(d, pair).polynomial, (parts, pair)
     assert len(cases) > 1000
+
+
+def _least_monomial_coefficient(diagram, pair):
+    # the route the parity replaced: the least monomial from the same
+    # weighted assignment, then its coefficient read off the truncated minor
+    # with just that monomial's cells set to 1
+    from nilfibre.invariants import _min_cost_matching, _minor_cells, _truncated_minor
+
+    cells = _minor_cells(diagram, pair)
+    positions = sorted(cell for line in cells for cell in line if cell not in (None, "a"))
+    weight = {pos: -(1 << (len(positions) - k)) for k, pos in enumerate(positions)}
+    weight["a"] = 1 << (len(positions) + 2)
+    match = _min_cost_matching([[None if cell is None else weight[cell] for cell in line] for line in cells])
+    least = frozenset(cells[r][q] for r, q in enumerate(match)) - {"a"}
+    d, degree = boxes_below_band(diagram, pair), true_degree(diagram, pair)
+    return _truncated_minor(diagram, pair, d, degree, frozenset(), least).constant_value()
+
+
+def test_generator_sign_is_the_least_monomials_coefficient():
+    # every pair of n <= 9 and of the deep compositions of 12 and 13
+    # (c_1 == c_k >= 3, interior parts below c_1), whose full-span pairs are
+    # past the bound
+    from nilfibre.invariants import _generator_sign
+
+    deep = [
+        parts
+        for n in (12, 13)
+        for parts in compositions_of(n)
+        if len(parts) >= 3 and parts[0] == parts[-1] >= 3 and all(p < parts[0] for p in parts[1:-1])
+    ]
+    cases = [
+        (parts, pair)
+        for parts in [parts for n in range(1, 10) for parts in compositions_of(n)] + deep
+        for pair in neighbouring_pairs(diagram_of(parts))
+    ]
+    for parts, pair in cases:
+        d = diagram_of(parts)
+        sign = _generator_sign(d, pair, boxes_below_band(d, pair))
+        assert sign == _least_monomial_coefficient(d, pair), (parts, pair)
+    assert len(cases) == 1270
+    # a least monomial off the valuation power has no sign to give
+    d = diagram_of(deep[0])
+    pair = full_span_pair(deep[0])
+    with pytest.raises(InternalConsistencyError, match="least monomial"):
+        _generator_sign(d, pair, boxes_below_band(d, pair) + 1)
 
 
 def test_matching_zero_test_matches_substitution():
@@ -351,7 +397,7 @@ def test_matching_zero_test_matches_substitution():
         d = diagram_of(parts)
         pairs = neighbouring_pairs(d)
         cells = {pair: _minor_cells(d, pair) for pair in pairs}
-        chains = {pair: chain_support(d, pair) for pair in pairs if len(interval_entries(d, pair)) > DEFAULT_SYMBOLIC_MAX_N}
+        chains = {pair: chain_support(d, pair) for pair in pairs if len(interval_entries(d, pair)) > SYMBOLIC_MAX_N}
 
         def expected(pair, zeroed):
             if pair in chains:
@@ -445,13 +491,17 @@ def _without_modes(report: dict) -> dict:
     return report
 
 
-def test_restricted_route_reports_match_the_expanded_route():
+def test_restricted_route_reports_match_the_expanded_route(monkeypatch):
+    from nilfibre import invariants
+
     checks = ("vanishing", "weierstrass", "injectivity")
     for n in range(1, 10):
         for parts in compositions_of(n):
             composition = Composition(parts)
-            restricted = _without_modes(verify_composition(composition, checks, 0, symbolic_max_n=0))
-            assert restricted == _without_modes(verify_composition(composition, checks, 0)), parts
+            expanded = _without_modes(verify_composition(composition, checks, 0))
+            with monkeypatch.context() as patch:
+                patch.setattr(invariants, "SYMBOLIC_MAX_N", 0)
+                assert _without_modes(verify_composition(composition, checks, 0)) == expanded, parts
 
 
 @pytest.mark.parametrize("parts", [(5, 3, 5), (4, 1, 2, 2, 4)])
@@ -471,10 +521,11 @@ def test_no_generator_past_the_bound_is_expanded(monkeypatch, parts):
         verify_composition(Composition(parts))
         inner = [p for p in neighbouring_pairs(diagram_of(parts)) if p != full_span_pair(parts)]
         assert len(extracted) == len(inner)
-        assert all(size <= DEFAULT_SYMBOLIC_MAX_N for size in extracted)
+        assert all(size <= SYMBOLIC_MAX_N for size in extracted)
         extracted.clear()
         invariants.invariant_for.cache_clear()
-        verify_composition(Composition(parts), ("weierstrass", "injectivity"), symbolic_max_n=0)
+        monkeypatch.setattr(invariants, "SYMBOLIC_MAX_N", 0)
+        verify_composition(Composition(parts), ("weierstrass", "injectivity"))
         assert extracted == []
     finally:
         invariants.invariant_for.cache_clear()

@@ -140,7 +140,7 @@ def test_empty_check_list_is_a_usage_error(tmp_path, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--seed", "--threads", "--symbolic-max-n"])
+@pytest.mark.parametrize("flag", ["--seed", "--threads"])
 def test_enumerate_rejects_options_it_does_not_read(tmp_path, flag):
     out = tmp_path / "report"
     assert main(["enumerate", "--composition", "1,2,1", flag, "1", "--out", str(out)]) == 1
@@ -150,18 +150,15 @@ def test_enumerate_rejects_options_it_does_not_read(tmp_path, flag):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--composition", "2,1,1,2", "--symbolic-max-n", "-1"],
-        ["sweep", "--n", "3", "--symbolic-max-n", "-5"],
+        ["verify", "--composition", "2,1,1,2", "--symbolic-max-n", "0"],
+        ["sweep", "--n", "3", "--symbolic-max-n", "0"],
     ],
 )
-def test_negative_symbolic_max_n_is_rejected(tmp_path, argv):
+def test_symbolic_max_n_is_not_an_option(tmp_path, argv):
+    # the routing bound is the interval's, not the user's
     out = tmp_path / "report"
     assert main(argv + ["--out", str(out)]) == 1
     assert not out.exists()
-    # 0 stays valid: no generator is expanded
-    argv[argv.index("--symbolic-max-n") + 1] = "0"
-    assert main(argv + ["--out", str(out)]) == 0
-    assert out.exists()
 
 
 @pytest.mark.parametrize(
@@ -294,16 +291,18 @@ def test_sweep_that_raises_leaves_only_complete_files(tmp_path, monkeypatch):
         assert (out / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 
 
-def test_sweep_reports_match_the_digest_ledger(tmp_path):
+def test_sweep_reports_match_the_digest_ledger(tmp_path, monkeypatch):
     # sweep_sha256.txt holds the sha256 of every per-n file of
-    # "sweep --n 10 --checks all --seed 0" on both routes; a per-n file does
-    # not depend on the sweep's bound, so n <= 9 is regenerated here and
-    # n = 10 is left to CI
+    # "sweep --n 10 --checks all --seed 0" on both routes, the restricted one
+    # with the routing bound at 0; a per-n file does not depend on the
+    # sweep's bound, so n <= 9 is regenerated here and n = 10 is left to CI
     import hashlib
 
-    routes = {"default": [], "symbolic-max-n-0": ["--symbolic-max-n", "0"]}
-    for route, flags in routes.items():
-        args = ["sweep", "--n", "9", "--checks", "all", "--seed", "0", *flags]
+    from nilfibre import invariants
+
+    for route, bound in {"default": invariants.SYMBOLIC_MAX_N, "symbolic-max-n-0": 0}.items():
+        monkeypatch.setattr(invariants, "SYMBOLIC_MAX_N", bound)
+        args = ["sweep", "--n", "9", "--checks", "all", "--seed", "0"]
         assert main(args + ["--out", str(tmp_path / route)]) == 0
     checked = 0
     for line in (GOLDEN / "sweep_sha256.txt").read_text().splitlines():
