@@ -20,8 +20,6 @@ from .builder import (
     ExtendedTableau,
     collapse,
     component_tableaux,
-    decorate,
-    enumerate_component_tableaux,
     extend_all,
 )
 from .roots import (

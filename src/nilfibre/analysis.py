@@ -23,28 +23,6 @@ from .roots import ExcludedRootSet, bracket_closure_violations
 
 
 @dataclass(frozen=True)
-class LabelPartition:
-    """The four position classes of a tableau: one-labelled S, starred Y,
-    excluded X and the unstarred exclusions Z = X minus Y."""
-
-    diagram: Diagram
-    s_set: frozenset[Pos]
-    y_set: frozenset[Pos]
-    x_set: frozenset[Pos]
-
-    @property
-    def z_set(self) -> frozenset[Pos]:
-        return self.x_set - self.y_set
-
-    def sane(self) -> bool:
-        return self.y_set <= self.x_set and not (self.s_set & self.x_set)
-
-
-def label_partition(ct: ComponentTableau, roots: ExcludedRootSet) -> LabelPartition:
-    return LabelPartition(ct.diagram, ct.e_support, ct.v_support, roots.excluded)
-
-
-@dataclass(frozen=True)
 class CoveringReport:
     ok: bool
     labels_ok: bool  # stars excluded, ones not
@@ -63,19 +41,19 @@ class CoveringReport:
 def covering_check(ct: ComponentTableau, roots: ExcludedRootSet) -> CoveringReport:
     """Every unstarred exclusion must lie strictly right of a one-labelled
     position in its own matrix row."""
-    part = label_partition(ct, roots)
     by_row: dict[int, list[int]] = {}
-    for i, j in part.s_set:
+    for i, j in ct.e_support:
         by_row.setdefault(i, []).append(j)
     unique = all(len(js) == 1 for js in by_row.values())
     uncovered = tuple(
         sorted(
             (k, l)
-            for k, l in part.z_set
+            for k, l in roots.excluded - ct.v_support
             if not any(j < l for j in by_row.get(k, ()))
         )
     )
-    return CoveringReport(not uncovered, part.sane(), uncovered, unique)
+    labels_ok = ct.v_support <= roots.excluded and not (ct.e_support & roots.excluded)
+    return CoveringReport(not uncovered, labels_ok, uncovered, unique)
 
 
 def jordan_type(matrix: list[list[int]]) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Enumeration of the extended tableaux and their decorated, collapsed forms.
+"""Enumeration of the extended tableaux and of their component tableaux.
 
 Starting from the filled diagram, rows are completed one at a time.  At the
 stage completing row T+1 an entry may be lowered from row t' <= T of a column
@@ -19,12 +19,12 @@ every visited node, before the choices are made, the search checks that
 each free pair of height t can be consumed by some admissible move at stage
 t, and raises otherwise.
 
-Lowered entries are joined by a vertical line labelled ``*`` to the bottom
-original entries of the column they enter; entries whose trail ends at a
-column are joined by a line labelled ``1`` to the highest not-yet-used
-original entry of the next column; repeated occurrences of one value are
-joined by neutral lines.  Collapsing re-anchors the labelled lines to the
-original boxes of their endpoint entries.
+A component tableau is read off the limit tableau by its two labelled
+position sets; no line object and no neutral line is built.  Each move
+stars the positions (entry, j) for the original entries j it is joined to,
+the bottom ones of the column it enters.  The entries whose trails stop in
+a column are labelled ``1`` against the original entries of the next
+column, top down and in order.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .core import (
 
 STAR = "*"
 ONE = "1"
-NEUTRAL = "neutral"
 
 
 @dataclass(frozen=True)
@@ -60,15 +59,6 @@ class Move:
     rows_down: int
     consumed: tuple[tuple[int, NeighbouringPair], ...]  # (height, pair), ascending
     star_targets: tuple[int, ...]  # original entries joined by *-lines, top down
-
-
-@dataclass(frozen=True)
-class DecoratedLine:
-    i: int
-    j: int
-    label: str  # STAR, ONE or NEUTRAL
-    src_box: tuple[int, int]  # (col, row) in the extended tableau
-    dst_box: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -101,14 +91,15 @@ class ExtendedTableau:
 
 @dataclass(frozen=True)
 class ComponentTableau:
-    """A decorated tableau on the original diagram: the choice data, the
-    labelled lines collapsed back onto original boxes, and the supports of the
-    ``1``-matrix and of the ``*``-span.  The pair-to-entry table is built
-    once, at construction; it takes no part in equality, hashing or repr."""
+    """A component tableau: its limit tableau with the move history, and its
+    two labelled position sets, the ``1``-positions ``e_support`` (the point
+    e) and the ``*``-positions ``v_support`` (spanning the Weierstrass
+    section).  No position carries both labels, so the two sets fix the
+    labelled lines.  The pair-to-entry table is built once, at construction;
+    it takes no part in equality, hashing or repr."""
 
     diagram: Diagram
     extended: ExtendedTableau
-    lines: tuple[DecoratedLine, ...]  # labels ONE / STAR only, boxes in the diagram
     e_support: frozenset[Pos]
     v_support: frozenset[Pos]
     _pair_entry: dict[NeighbouringPair, int] = field(init=False, repr=False, compare=False)
@@ -130,6 +121,10 @@ class ComponentTableau:
         """Which entry consumed each neighbouring pair."""
         return self._pair_entry
 
+    def lines(self) -> list[tuple[str, int, int]]:
+        """The labelled lines as sorted (label, i, j) triples, stars first."""
+        return sorted([(STAR, i, j) for i, j in self.v_support] + [(ONE, i, j) for i, j in self.e_support])
+
     def choice_json(self) -> list[dict]:
         records = []
         for move in self.moves:
@@ -149,10 +144,7 @@ class ComponentTableau:
         return {
             "composition": list(self.diagram.parts),
             "choiceSequence": self.choice_json(),
-            "lines": [
-                {"i": line.i, "j": line.j, "label": line.label}
-                for line in sorted(self.lines, key=lambda l: (l.label, l.i, l.j))
-            ],
+            "lines": [{"i": i, "j": j, "label": label} for label, i, j in self.lines()],
         }
 
 
@@ -309,73 +301,38 @@ def extend_all(diagram: Diagram) -> tuple[ExtendedTableau, ...]:
     return tuple(results)
 
 
-def decorate(ext: ExtendedTableau) -> tuple[DecoratedLine, ...]:
-    """The full line family of the limit tableau: stars, ones and neutrals."""
+def collapse(ext: ExtendedTableau) -> ComponentTableau:
+    """The component tableau of a limit tableau.  Each move stars (entry, j)
+    for its star targets j; the entries stopping in column c, top down, are
+    labelled ``1`` against the original entries of column c+1, in order.
+    Raises when a position leaves the nilradical, carries both labels, an
+    entry finds no endpoint left, or the stars miscount the pairs."""
     diagram = ext.diagram
-    lines: list[DecoratedLine] = []
-
-    for move in ext.moves:
-        src = (move.target_col, move.landing_row)
-        for j in move.star_targets:
-            lines.append(DecoratedLine(move.entry, j, STAR, src, diagram.box_of(j)))
-
-    for entry in range(1, diagram.n + 1):
-        boxes = ext.occurrences(entry)
-        for a, b in zip(boxes, boxes[1:]):
-            lines.append(DecoratedLine(entry, entry, NEUTRAL, a, b))
-
+    stars = [(move.entry, j) for move in ext.moves for j in move.star_targets]
+    ones = []
     for c in range(diagram.k - 1):
-        stopped = []
+        targets = iter(diagram.columns[c + 1])
         for r, entry in enumerate(ext.columns[c], start=1):
-            if ext.occurrences(entry)[-1] == (c, r):
-                stopped.append((r, entry))
-        stopped.sort()
-        taken: set[int] = set()
-        for r, entry in stopped:
-            target = next((j for j in diagram.columns[c + 1] if j not in taken), None)
+            if ext.occurrences(entry)[-1] != (c, r):
+                continue
+            target = next(targets, None)
             if target is None:
                 raise ConstructionViolation(
                     f"no endpoint left in column {c + 2} for stopped entry {entry}"
                 )
-            taken.add(target)
-            lines.append(DecoratedLine(entry, target, ONE, (c, r), diagram.box_of(target)))
-
-    return tuple(lines)
-
-
-def collapse(ext: ExtendedTableau, lines: tuple[DecoratedLine, ...]) -> ComponentTableau:
-    """Re-anchor the starred and one-labelled lines to original boxes."""
-    diagram = ext.diagram
-    collapsed = []
-    e_support = set()
-    v_support = set()
-    for line in lines:
-        if line.label == NEUTRAL:
-            continue
-        pos = (line.i, line.j)
+            ones.append((entry, target))
+    for pos in stars + ones:
         if not diagram.in_nilradical(pos):
             raise ConstructionViolation(f"line {pos} not in the nilradical")
-        collapsed.append(
-            DecoratedLine(line.i, line.j, line.label, diagram.box_of(line.i), diagram.box_of(line.j))
-        )
-        (v_support if line.label == STAR else e_support).add(pos)
+    e_support = frozenset(ones)
+    v_support = frozenset(stars)
     if e_support & v_support:
         raise ConstructionViolation("a position carries both labels")
     if len(v_support) != len(neighbouring_pairs(diagram)):
         raise ConstructionViolation("star count differs from the neighbouring-pair count")
-    return ComponentTableau(
-        diagram,
-        ext,
-        tuple(collapsed),
-        frozenset(e_support),
-        frozenset(v_support),
-    )
-
-
-def enumerate_component_tableaux(diagram: Diagram) -> tuple[ComponentTableau, ...]:
-    return tuple(collapse(ext, decorate(ext)) for ext in extend_all(diagram))
+    return ComponentTableau(diagram, ext, e_support, v_support)
 
 
 def component_tableaux(parts: tuple[int, ...]) -> tuple[ComponentTableau, ...]:
-    """Enumeration for a composition given by its parts."""
-    return enumerate_component_tableaux(diagram_of(parts))
+    """Every component tableau of a composition given by its parts."""
+    return tuple(collapse(ext) for ext in extend_all(diagram_of(parts)))

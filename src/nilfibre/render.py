@@ -33,8 +33,8 @@ def render_extended(ext: ExtendedTableau) -> str:
 def render_component(ct: ComponentTableau) -> str:
     """Limit tableau grid followed by the labelled lines."""
     body = [render_extended(ct.extended)]
-    for line in sorted(ct.lines, key=lambda l: (l.label, l.i, l.j)):
-        body.append(f"{line.label} {line.i}->{line.j}")
+    for label, i, j in ct.lines():
+        body.append(f"{label} {i}->{j}")
     return "\n".join(body)
 
 
@@ -84,9 +84,9 @@ def latex_component(ct: ComponentTableau, index: int) -> str:
             cells.append(cell)
         out.append(" & ".join(cells) + r" \\")
     out.append(r"\end{tikzcd}")
-    for line in sorted(ct.lines, key=lambda l: (l.label, l.i, l.j)):
-        tag = r"\ast" if line.label == STAR else "1"
-        out.append(rf"% \ell_{{{line.i},{line.j}}} : {tag}")
+    for label, i, j in ct.lines():
+        tag = r"\ast" if label == STAR else "1"
+        out.append(rf"% \ell_{{{i},{j}}} : {tag}")
     return "\n".join(out)
 
 

@@ -1,18 +1,13 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilfibre import builder
-from nilfibre.builder import (
-    ONE,
-    component_tableaux,
-    decorate,
-    enumerate_component_tableaux,
-    extend_all,
-)
+from nilfibre.builder import ONE, collapse, component_tableaux, extend_all
 from nilfibre.conformance import compositions_of
 from nilfibre.core import ConstructionViolation, diagram_of, neighbouring_pairs
 from nilfibre.roots import excluded_roots
@@ -21,7 +16,7 @@ compositions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple)
 
 
 def labelled(ct, label):
-    return {(l.i, l.j) for l in ct.lines if l.label == label}
+    return {(i, j) for l, i, j in ct.lines() if l == label}
 
 
 def by_stars(parts, stars):
@@ -86,6 +81,7 @@ def test_canonical_tableau_121():
     (ct,) = component_tableaux((1, 2, 1))
     assert ct.v_support == {(2, 4)}
     assert ct.e_support == {(1, 2), (3, 4)}
+    assert ct.lines() == [("*", 2, 4), ("1", 1, 2), ("1", 3, 4)]
 
 
 def test_decorate_1212_upper():
@@ -135,9 +131,6 @@ def test_collapse_identity_for_trivial():
     (ct,) = component_tableaux((3, 2, 1))
     assert ct.v_support == set()
     assert ct.e_support == {(1, 4), (2, 5), (4, 6)}
-    for line in ct.lines:
-        assert line.src_box == ct.diagram.box_of(line.i)
-        assert line.dst_box == ct.diagram.box_of(line.j)
 
 
 def test_strings_1212():
@@ -211,16 +204,13 @@ def test_starting_places(parts):
 @given(compositions)
 @settings(max_examples=40, deadline=None)
 def test_one_lines_injective(parts):
+    # no two ones share a row or a column: the one-matrix is a partial
+    # permutation, as tangent_dimension assumes
     for ct in component_tableaux(parts):
-        ones = [l for l in decorate(ct.extended) if l.label == ONE]
-        by_gap = {}
-        for line in ones:
-            by_gap.setdefault(line.src_box[0], []).append(line)
-        for group in by_gap.values():
-            starts = [l.src_box for l in group]
-            ends = [l.j for l in group]
-            assert len(set(starts)) == len(starts)
-            assert len(set(ends)) == len(ends)
+        rows = [i for i, _ in ct.e_support]
+        cols = [j for _, j in ct.e_support]
+        assert len(set(rows)) == len(rows)
+        assert len(set(cols)) == len(cols)
 
 
 @given(compositions)
@@ -249,7 +239,29 @@ def test_free_pair_always_has_choice():
     # enumeration raises if a free pair has no move at its own stage
     for n in range(1, 7):
         for parts in compositions_of(n):
-            enumerate_component_tableaux(diagram_of(parts))
+            component_tableaux(parts)
+
+
+def with_star_targets(ext, entry, targets):
+    (move,) = ext.moves
+    return replace(ext, moves=(replace(move, entry=entry, star_targets=targets),))
+
+
+@pytest.mark.parametrize(
+    "faulty, match",
+    [
+        pytest.param(lambda ext: with_star_targets(ext, 2, (2,)), "not in the nilradical", id="diagonal-star"),
+        pytest.param(lambda ext: with_star_targets(ext, 1, (2,)), "carries both labels", id="star-on-the-one-1-2"),
+        pytest.param(lambda ext: with_star_targets(ext, 2, ()), "star count", id="no-star"),
+        # unextended, 2 and 3 both stop in the middle column, and the last
+        # column has one entry
+        pytest.param(lambda ext: replace(ext, columns=ext.diagram.columns, moves=()), "no endpoint left", id="unextended"),
+    ],
+)
+def test_collapse_rejects_a_faulty_limit_tableau(faulty, match):
+    (ext,) = extend_all(diagram_of((1, 2, 1)))
+    with pytest.raises(ConstructionViolation, match=match):
+        collapse(faulty(ext))
 
 
 def test_free_pair_without_a_move_raises(monkeypatch):

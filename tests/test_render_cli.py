@@ -314,6 +314,29 @@ def test_sweep_reports_match_the_digest_ledger(tmp_path, monkeypatch):
     assert checked == 18
 
 
+def test_enumerate_outputs_match_the_digest_ledger(tmp_path):
+    # enumerate_sha256.txt holds, for each n <= 9 and each format, the sha256
+    # of the "enumerate --composition C --format F" outputs of every
+    # composition C of n, concatenated in cut-set order
+    import hashlib
+
+    from nilfibre.conformance import compositions_of
+
+    out = tmp_path / "out"
+    digests = {}
+    for n in range(1, 10):
+        for fmt in ("text", "json", "latex"):
+            digest = hashlib.sha256()
+            for parts in compositions_of(n):
+                comp = ",".join(map(str, parts))
+                assert main(["enumerate", "--composition", comp, "--format", fmt, "--out", str(out)]) == 0
+                digest.update(out.read_bytes())
+            digests[f"n{n}.{fmt}"] = digest.hexdigest()
+    ledger = (GOLDEN / "enumerate_sha256.txt").read_text().splitlines()
+    assert len(ledger) == 27
+    assert {name: digest for digest, name in (line.split("  ") for line in ledger)} == digests
+
+
 def test_invariant_disk_cache(tmp_path, monkeypatch):
     from nilfibre import invariants
 
