@@ -17,7 +17,6 @@ from .core import (
 )
 from .builder import (
     ComponentTableau,
-    ExtendedTableau,
     collapse,
     component_tableaux,
     extend_all,

@@ -1,4 +1,4 @@
-"""Enumeration of the extended tableaux and of their component tableaux.
+"""Enumeration of the limit tableaux and of their component tableaux.
 
 Starting from the filled diagram, rows are completed one at a time.  At the
 stage completing row T+1 an entry may be lowered from row t' <= T of a column
@@ -19,12 +19,13 @@ every visited node, before the choices are made, the search checks that
 each free pair of height t can be consumed by some admissible move at stage
 t, and raises otherwise.
 
-A component tableau is read off the limit tableau by its two labelled
+A component tableau is its limit columns, its moves and its two labelled
 position sets; no line object and no neutral line is built.  Each move
 stars the positions (entry, j) for the original entries j it is joined to,
-the bottom ones of the column it enters.  The entries whose trails stop in
-a column are labelled ``1`` against the original entries of the next
-column, top down and in order.
+the bottom ones of the column it enters.  Entries only move right, so an
+entry's trail stops in the rightmost column that holds it.  The entries
+whose trails stop in a column are labelled ``1`` against the original
+entries of the next column, top down and in order.
 """
 
 from __future__ import annotations
@@ -44,74 +45,42 @@ from .core import (
 STAR = "*"
 ONE = "1"
 
+Columns = tuple[tuple[int, ...], ...]  # a limit tableau, column by column
+
 
 @dataclass(frozen=True)
 class Move:
-    """One lowering: ``entry`` drops from (src_row, src_col) into the first
-    empty box of src_col+1, consuming one neighbouring pair per descended row."""
+    """One lowering at stage ``stage``: ``entry`` drops into the first empty
+    box of ``target_col``, in row stage+1, consuming one neighbouring pair
+    per descended row."""
 
     stage: int
     entry: int
-    src_col: int
-    src_row: int
     target_col: int
-    landing_row: int
-    rows_down: int
-    consumed: tuple[tuple[int, NeighbouringPair], ...]  # (height, pair), ascending
+    pairs: tuple[NeighbouringPair, ...]  # consumed, in ascending height
     star_targets: tuple[int, ...]  # original entries joined by *-lines, top down
 
 
 @dataclass(frozen=True)
-class ExtendedTableau:
-    """The stabilized limit tableau together with the move history.
-
-    The trail of each entry is built once, at construction; it takes no part
-    in equality, hashing or repr."""
-
-    diagram: Diagram
-    columns: tuple[tuple[int, ...], ...]
-    moves: tuple[Move, ...]
-    _trails: dict[int, tuple[tuple[int, int], ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        occ: dict[int, list[tuple[int, int]]] = {}
-        for c, col in enumerate(self.columns):
-            for r, entry in enumerate(col, start=1):
-                occ.setdefault(entry, []).append((c, r))
-        for entry, boxes in occ.items():
-            boxes.sort()
-            cols = [c for c, _ in boxes]
-            if len(set(cols)) != len(cols):
-                raise ConstructionViolation(f"entry {entry} repeats within a column")
-        object.__setattr__(self, "_trails", {entry: tuple(boxes) for entry, boxes in occ.items()})
-
-    def occurrences(self, entry: int) -> tuple[tuple[int, int], ...]:
-        return self._trails.get(entry, ())
-
-
-@dataclass(frozen=True)
 class ComponentTableau:
-    """A component tableau: its limit tableau with the move history, and its
-    two labelled position sets, the ``1``-positions ``e_support`` (the point
-    e) and the ``*``-positions ``v_support`` (spanning the Weierstrass
-    section).  No position carries both labels, so the two sets fix the
-    labelled lines.  The pair-to-entry table is built once, at construction;
-    it takes no part in equality, hashing or repr."""
+    """A component tableau: its limit tableau ``columns``, the moves that
+    built it, and its two labelled position sets, the ``1``-positions
+    ``e_support`` (the point e) and the ``*``-positions ``v_support``
+    (spanning the Weierstrass section).  No position carries both labels, so
+    the two sets fix the labelled lines.  The pair-to-entry table is built
+    once, at construction; it takes no part in equality, hashing or repr."""
 
     diagram: Diagram
-    extended: ExtendedTableau
+    columns: Columns
+    moves: tuple[Move, ...]
     e_support: frozenset[Pos]
     v_support: frozenset[Pos]
     _pair_entry: dict[NeighbouringPair, int] = field(init=False, repr=False, compare=False)
 
-    @property
-    def moves(self) -> tuple[Move, ...]:
-        return self.extended.moves
-
     def __post_init__(self) -> None:
         table: dict[NeighbouringPair, int] = {}
         for move in self.moves:
-            for _, pair in move.consumed:
+            for pair in move.pairs:
                 if pair in table:
                     raise ConstructionViolation(f"pair {pair} consumed twice")
                 table[pair] = move.entry
@@ -128,14 +97,14 @@ class ComponentTableau:
     def choice_json(self) -> list[dict]:
         records = []
         for move in self.moves:
-            for _, pair in move.consumed:
+            for pair in move.pairs:
                 records.append(
                     {
                         "t": move.stage,
                         "pairLeft": pair.left + 1,
                         "pairRight": pair.right + 1,
                         "entry": move.entry,
-                        "rowsDown": move.rows_down,
+                        "rowsDown": len(move.pairs),
                     }
                 )
         return records
@@ -192,24 +161,11 @@ def _candidates(diagram: Diagram, state: _State, stage: int) -> list[Move]:
                 if pair is None or pair in state.used:
                     consumed = None
                     break
-                consumed.append((s, pair))
+                consumed.append(pair)
             if consumed is None:
                 continue
             top = min(row, h0)
-            moves.append(
-                Move(
-                    stage=stage,
-                    entry=entry,
-                    src_col=src,
-                    src_row=row,
-                    target_col=target,
-                    landing_row=stage + 1,
-                    rows_down=stage - row + 1,
-                    consumed=tuple(consumed),
-                    star_targets=diagram.columns[target][top - 1 : h0],
-                )
-            )
-    moves.sort(key=lambda m: (m.src_col, m.src_row))
+            moves.append(Move(stage, entry, target, tuple(consumed), diagram.columns[target][top - 1 : h0]))
     return moves
 
 
@@ -223,7 +179,7 @@ def _subsets(moves: list[Move], forced: set[NeighbouringPair]):
                 yield list(chosen)
             return
         move = moves[idx]
-        own = {p for _, p in move.consumed}
+        own = set(move.pairs)
         if move.target_col not in targets and not (own & pairs):
             chosen.append(move)
             yield from rec(idx + 1, chosen, targets | {move.target_col}, pairs | own)
@@ -236,8 +192,8 @@ def _subsets(moves: list[Move], forced: set[NeighbouringPair]):
 def _apply(state: _State, subset: list[Move]) -> None:
     for move in subset:
         state.cols[move.target_col].append(move.entry)
-        state.right[move.entry] = (move.target_col, move.landing_row)
-        state.used.update(p for _, p in move.consumed)
+        state.right[move.entry] = (move.target_col, move.stage + 1)
+        state.used.update(move.pairs)
         state.moves.append(move)
 
 
@@ -258,10 +214,10 @@ def _translate(state: _State, stage: int) -> bool:
     return changed
 
 
-def extend_all(diagram: Diagram) -> tuple[ExtendedTableau, ...]:
-    """Enumerate every limit tableau of the diagram, depth first over the
-    lowering choices of each stage.  Every result consumes each neighbouring
-    pair exactly once.
+def extend_all(diagram: Diagram) -> tuple[tuple[Columns, tuple[Move, ...]], ...]:
+    """Enumerate every limit tableau of the diagram as its ``(columns,
+    moves)``, depth first over the lowering choices of each stage.  Every
+    result consumes each neighbouring pair exactly once.
 
     A pair p of height s left free past stage t can only be consumed later
     by a multi-row descent into a column of ``p.left+1..p.right`` whose
@@ -276,13 +232,13 @@ def extend_all(diagram: Diagram) -> tuple[ExtendedTableau, ...]:
     reach = {p: max(diagram.height(c) for c in range(p.left + 1, p.right + 1)) for p in pairs}
     max_height = diagram.max_height
     hard_cap = max_height + len(all_pairs) + 2
-    results: list[ExtendedTableau] = []
+    results = []
 
     def run(state: _State, stage: int) -> None:
         if stage > hard_cap:
             raise ConstructionViolation("stage cap exceeded; stabilization failed")
         candidates = _candidates(diagram, state, stage)
-        usable = {p for m in candidates for _, p in m.consumed}
+        usable = {p for m in candidates for p in m.pairs}
         for pair in pairs:
             if pair.height == stage and pair not in state.used and pair not in usable:
                 raise ConstructionViolation(f"free pair {pair} has no admissible choice at its own stage")
@@ -293,7 +249,7 @@ def extend_all(diagram: Diagram) -> tuple[ExtendedTableau, ...]:
             _translate(branch, stage)
             if not subset and stage >= max_height:
                 if branch.used == all_pairs:
-                    results.append(ExtendedTableau(diagram, tuple(tuple(col) for col in branch.cols), tuple(branch.moves)))
+                    results.append((tuple(tuple(col) for col in branch.cols), tuple(branch.moves)))
             else:
                 run(branch, stage + 1)
 
@@ -301,19 +257,25 @@ def extend_all(diagram: Diagram) -> tuple[ExtendedTableau, ...]:
     return tuple(results)
 
 
-def collapse(ext: ExtendedTableau) -> ComponentTableau:
+def collapse(diagram: Diagram, columns: Columns, moves: tuple[Move, ...]) -> ComponentTableau:
     """The component tableau of a limit tableau.  Each move stars (entry, j)
     for its star targets j; the entries stopping in column c, top down, are
     labelled ``1`` against the original entries of column c+1, in order.
-    Raises when a position leaves the nilradical, carries both labels, an
-    entry finds no endpoint left, or the stars miscount the pairs."""
-    diagram = ext.diagram
-    stars = [(move.entry, j) for move in ext.moves for j in move.star_targets]
+    Raises when an entry repeats within a column, a position leaves the
+    nilradical, carries both labels, an entry finds no endpoint left, or the
+    stars miscount the pairs."""
+    stops: dict[int, tuple[int, int]] = {}  # each entry's rightmost box
+    for c, col in enumerate(columns):
+        for r, entry in enumerate(col, start=1):
+            if entry in stops and stops[entry][0] == c:
+                raise ConstructionViolation(f"entry {entry} repeats within a column")
+            stops[entry] = (c, r)
+    stars = [(move.entry, j) for move in moves for j in move.star_targets]
     ones = []
     for c in range(diagram.k - 1):
         targets = iter(diagram.columns[c + 1])
-        for r, entry in enumerate(ext.columns[c], start=1):
-            if ext.occurrences(entry)[-1] != (c, r):
+        for r, entry in enumerate(columns[c], start=1):
+            if stops[entry] != (c, r):
                 continue
             target = next(targets, None)
             if target is None:
@@ -330,9 +292,10 @@ def collapse(ext: ExtendedTableau) -> ComponentTableau:
         raise ConstructionViolation("a position carries both labels")
     if len(v_support) != len(neighbouring_pairs(diagram)):
         raise ConstructionViolation("star count differs from the neighbouring-pair count")
-    return ComponentTableau(diagram, ext, e_support, v_support)
+    return ComponentTableau(diagram, columns, moves, e_support, v_support)
 
 
 def component_tableaux(parts: tuple[int, ...]) -> tuple[ComponentTableau, ...]:
     """Every component tableau of a composition given by its parts."""
-    return tuple(collapse(ext) for ext in extend_all(diagram_of(parts)))
+    diagram = diagram_of(parts)
+    return tuple(collapse(diagram, columns, moves) for columns, moves in extend_all(diagram))

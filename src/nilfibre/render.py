@@ -8,19 +8,19 @@ environment per tableau or matrix.
 
 from __future__ import annotations
 
-from .builder import ComponentTableau, ExtendedTableau, STAR
+from .builder import ComponentTableau, STAR
 from .roots import ExcludedRootSet
 
 
-def render_extended(ext: ExtendedTableau) -> str:
+def render_extended(ct: ComponentTableau) -> str:
     """Grid of the limit tableau; entries added to a column are starred."""
-    diagram = ext.diagram
-    depth = max(len(col) for col in ext.columns)
+    diagram = ct.diagram
+    depth = max(len(col) for col in ct.columns)
     width = max(2, len(str(diagram.n))) + 1
     lines = []
     for row in range(1, depth + 1):
         cells = []
-        for c, col in enumerate(ext.columns):
+        for c, col in enumerate(ct.columns):
             if row <= len(col):
                 mark = "+" if row > diagram.height(c) else " "
                 cells.append(f"{col[row - 1]}{mark}".rjust(width))
@@ -32,7 +32,7 @@ def render_extended(ext: ExtendedTableau) -> str:
 
 def render_component(ct: ComponentTableau) -> str:
     """Limit tableau grid followed by the labelled lines."""
-    body = [render_extended(ct.extended)]
+    body = [render_extended(ct)]
     for label, i, j in ct.lines():
         body.append(f"{label} {i}->{j}")
     return "\n".join(body)
@@ -70,12 +70,11 @@ def render_matrix(ct: ComponentTableau, roots: ExcludedRootSet) -> str:
 def latex_component(ct: ComponentTableau, index: int) -> str:
     """One tikz-style environment per decorated tableau."""
     diagram = ct.diagram
-    ext = ct.extended
-    depth = max(len(col) for col in ext.columns)
+    depth = max(len(col) for col in ct.columns)
     out = [f"% component tableau {index}", r"\begin{tikzcd}[row sep=0.5em, column sep=1em]"]
     for row in range(1, depth + 1):
         cells = []
-        for c, col in enumerate(ext.columns):
+        for c, col in enumerate(ct.columns):
             if row <= len(col):
                 entry = col[row - 1]
                 cell = rf"\red{{{entry}}}" if row > diagram.height(c) else str(entry)

@@ -235,7 +235,6 @@ def penetrating_string(ct: ComponentTableau, pair: NeighbouringPair) -> Penetrat
     """The unique trail that consumed ``pair``, halted just after it first
     drops below the pair's height."""
     entry = ct.pair_entry()[pair]
-    events = sorted((m for m in ct.moves if m.entry == entry), key=lambda m: m.target_col)
     box = ct.diagram.box_of(entry)
     if not (pair.left <= box[0] < pair.right and box[1] <= pair.height):
         raise ConstructionViolation(
@@ -243,10 +242,12 @@ def penetrating_string(ct: ComponentTableau, pair: NeighbouringPair) -> Penetrat
         )
     steps = []
     landing = None
-    for move in events:
+    for move in ct.moves:
+        if move.entry != entry:
+            continue
         steps.append(move)
-        if move.landing_row > pair.height:
-            landing = move.landing_row
+        if move.stage >= pair.height:
+            landing = move.stage + 1
             break
     if landing is None:
         raise ConstructionViolation(f"trail of {entry} never penetrates below row {pair.height}")

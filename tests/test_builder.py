@@ -19,6 +19,12 @@ def labelled(ct, label):
     return {(i, j) for l, i, j in ct.lines() if l == label}
 
 
+def trail(ct, entry):
+    """The boxes (column, row) of the limit tableau that hold ``entry``, left
+    to right."""
+    return tuple((c, r) for c, col in enumerate(ct.columns) for r, e in enumerate(col, start=1) if e == entry)
+
+
 def by_stars(parts, stars):
     matches = [ct for ct in component_tableaux(parts) if ct.v_support == frozenset(stars)]
     assert len(matches) == 1, f"no unique tableau of {parts} with stars {stars}"
@@ -107,7 +113,7 @@ def test_decorate_21121_bottom():
     # the tableau lowering 4 two rows below 6 carries stars 4->5 and 4->6
     ct = by_stars((2, 1, 1, 2, 1), {(3, 4), (4, 5), (4, 6)})
     move = next(m for m in ct.moves if m.entry == 4)
-    assert move.rows_down == 2
+    assert len(move.pairs) == 2
     assert move.star_targets == (5, 6)
 
 
@@ -135,15 +141,15 @@ def test_collapse_identity_for_trivial():
 
 def test_strings_1212():
     ct = by_stars((1, 2, 1, 2), {(2, 4), (2, 6)})
-    assert ct.extended.occurrences(2) == ((1, 1), (2, 2), (3, 3))
-    assert ct.extended.occurrences(1) == ((0, 1),)
+    assert trail(ct, 2) == ((1, 1), (2, 2), (3, 3))
+    assert trail(ct, 1) == ((0, 1),)
 
 
 def test_strings_21121_two_row_descent():
     ct = by_stars((2, 1, 1, 2, 1), {(3, 4), (4, 5), (4, 6)})
-    trail = ct.extended.occurrences(4)
-    assert trail[0] == (2, 1)
-    assert (3, 3) in trail  # dropped two rows in one step
+    boxes = trail(ct, 4)
+    assert boxes[0] == (2, 1)
+    assert (3, 3) in boxes  # dropped two rows in one step
 
 
 def test_choice_json_schema():
@@ -166,9 +172,14 @@ def test_star_count_equals_pair_count(parts):
 @settings(max_examples=40, deadline=None)
 def test_every_pair_used_exactly_once(parts):
     for ct in component_tableaux(parts):
-        used = [p for m in ct.moves for _, p in m.consumed]
+        used = [p for m in ct.moves for p in m.pairs]
         assert sorted(map(str, used)) == sorted(map(str, neighbouring_pairs(ct.diagram)))
         assert len(set(used)) == len(used)
+        # each entry's moves are listed in strictly increasing target column,
+        # as penetrating_string reads them
+        for entry in {m.entry for m in ct.moves}:
+            targets = [m.target_col for m in ct.moves if m.entry == entry]
+            assert targets == sorted(set(targets))
 
 
 @given(compositions)
@@ -176,7 +187,7 @@ def test_every_pair_used_exactly_once(parts):
 def test_non_crossing_strings(parts):
     # strings sharing two columns keep their vertical order in both
     for ct in component_tableaux(parts):
-        occ = {e: dict(ct.extended.occurrences(e)) for e in range(1, ct.diagram.n + 1)}
+        occ = {e: dict(trail(ct, e)) for e in range(1, ct.diagram.n + 1)}
         entries = list(occ)
         for a in range(len(entries)):
             for b in range(a + 1, len(entries)):
@@ -191,7 +202,7 @@ def test_non_crossing_strings(parts):
 def test_starting_places(parts):
     # if one string runs below another in a shared column it started weakly left
     for ct in component_tableaux(parts):
-        occ = {e: dict(ct.extended.occurrences(e)) for e in range(1, ct.diagram.n + 1)}
+        occ = {e: dict(trail(ct, e)) for e in range(1, ct.diagram.n + 1)}
         for e1 in occ:
             for e2 in occ:
                 if e1 == e2:
@@ -230,7 +241,7 @@ def test_distinct_data_distinct_tableaux(parts):
 @settings(max_examples=40, deadline=None)
 def test_extended_column_entries_distinct(parts):
     for ct in component_tableaux(parts):
-        for col in ct.extended.columns:
+        for col in ct.columns:
             assert len(set(col)) == len(col)
 
 
@@ -242,26 +253,29 @@ def test_free_pair_always_has_choice():
             component_tableaux(parts)
 
 
-def with_star_targets(ext, entry, targets):
-    (move,) = ext.moves
-    return replace(ext, moves=(replace(move, entry=entry, star_targets=targets),))
+def with_star_targets(columns, moves, entry, targets):
+    (move,) = moves
+    return columns, (replace(move, entry=entry, star_targets=targets),)
 
 
 @pytest.mark.parametrize(
     "faulty, match",
     [
-        pytest.param(lambda ext: with_star_targets(ext, 2, (2,)), "not in the nilradical", id="diagonal-star"),
-        pytest.param(lambda ext: with_star_targets(ext, 1, (2,)), "carries both labels", id="star-on-the-one-1-2"),
-        pytest.param(lambda ext: with_star_targets(ext, 2, ()), "star count", id="no-star"),
+        pytest.param(lambda cols, moves: with_star_targets(cols, moves, 2, (2,)), "not in the nilradical", id="diagonal-star"),
+        pytest.param(lambda cols, moves: with_star_targets(cols, moves, 1, (2,)), "carries both labels", id="star-on-the-one-1-2"),
+        pytest.param(lambda cols, moves: with_star_targets(cols, moves, 2, ()), "star count", id="no-star"),
         # unextended, 2 and 3 both stop in the middle column, and the last
         # column has one entry
-        pytest.param(lambda ext: replace(ext, columns=ext.diagram.columns, moves=()), "no endpoint left", id="unextended"),
+        pytest.param(lambda cols, moves: (((1,), (2, 3), (4,)), ()), "no endpoint left", id="unextended"),
+        # 2 twice in the last column; every other check passes on it
+        pytest.param(lambda cols, moves: (cols[:-1] + (cols[-1] + (2,),), moves), "repeats within a column", id="repeated-entry"),
     ],
 )
 def test_collapse_rejects_a_faulty_limit_tableau(faulty, match):
-    (ext,) = extend_all(diagram_of((1, 2, 1)))
+    diagram = diagram_of((1, 2, 1))
+    ((columns, moves),) = extend_all(diagram)
     with pytest.raises(ConstructionViolation, match=match):
-        collapse(faulty(ext))
+        collapse(diagram, *faulty(columns, moves))
 
 
 def test_free_pair_without_a_move_raises(monkeypatch):
@@ -277,8 +291,7 @@ def test_tableaux_are_released_by_their_caller():
     ct = component_tableaux((4, 1, 1, 4))[0]
     excluded_roots(ct)
     ct.pair_entry()
-    ct.extended.occurrences(1)
-    refs = [weakref.ref(ct), weakref.ref(ct.extended)]
+    ref = weakref.ref(ct)
     del ct
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    assert ref() is None

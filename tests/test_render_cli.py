@@ -315,7 +315,7 @@ def test_sweep_reports_match_the_digest_ledger(tmp_path, monkeypatch):
 
 
 def test_enumerate_outputs_match_the_digest_ledger(tmp_path):
-    # enumerate_sha256.txt holds, for each n <= 9 and each format, the sha256
+    # enumerate_sha256.txt holds, for each n <= 10 and each format, the sha256
     # of the "enumerate --composition C --format F" outputs of every
     # composition C of n, concatenated in cut-set order
     import hashlib
@@ -324,7 +324,7 @@ def test_enumerate_outputs_match_the_digest_ledger(tmp_path):
 
     out = tmp_path / "out"
     digests = {}
-    for n in range(1, 10):
+    for n in range(1, 11):
         for fmt in ("text", "json", "latex"):
             digest = hashlib.sha256()
             for parts in compositions_of(n):
@@ -333,7 +333,7 @@ def test_enumerate_outputs_match_the_digest_ledger(tmp_path):
                 digest.update(out.read_bytes())
             digests[f"n{n}.{fmt}"] = digest.hexdigest()
     ledger = (GOLDEN / "enumerate_sha256.txt").read_text().splitlines()
-    assert len(ledger) == 27
+    assert len(ledger) == 30
     assert {name: digest for digest, name in (line.split("  ") for line in ledger)} == digests
 
 
