@@ -18,6 +18,12 @@ expanded: its restrictions and values come from the same truncated
 expansion on a restricted minor, its sign and zero tests from a min-cost
 perfect matching of the minor's cells.  No monomial cancels, so both zero
 tests are exact; nothing here draws a random number.
+
+The checks read a pair's generator through its interval alone, keyed by
+the parts from the pair's left to its right column (the first is the
+pair's height).  The generator, each zero test and each restriction are
+computed once per interval key in the interval's coordinates, and shifted
+back into the composition's.
 """
 
 from __future__ import annotations
@@ -31,11 +37,13 @@ from itertools import combinations, permutations
 from math import inf
 
 from .core import (
+    Composition,
     Diagram,
     InternalConsistencyError,
     NeighbouringPair,
     Pos,
     boxes_below_band,
+    build_diagram,
     interval_entries,
     neighbouring_pairs,
     true_degree,
@@ -315,9 +323,7 @@ def _cache_dir() -> str | None:
 @lru_cache(maxsize=None)
 def invariant_for(parts: tuple[int, ...], pair: NeighbouringPair) -> InvariantRecord:
     """Memoized extraction, optionally backed by the on-disk cache."""
-    from .core import diagram_of
-
-    diagram = diagram_of(parts)
+    diagram = build_diagram(Composition(parts))
     cache = _cache_dir()
     path = None
     if cache:
@@ -398,10 +404,87 @@ def chain_support(diagram: Diagram, pair: NeighbouringPair) -> frozenset[frozens
     return frozenset(results)
 
 
+def _interval(diagram: Diagram, pair: NeighbouringPair) -> tuple[tuple[int, ...], int]:
+    """The pair's interval key, the parts from its left to its right column
+    (the first is the pair's height), and the offset c_1 + ... + c_(l-1)
+    that shifts the interval's coordinates back to the diagram's."""
+    return diagram.parts[pair.left : pair.right + 1], diagram.columns[pair.left][0] - 1
+
+
+def _generator(key: tuple[int, ...]) -> Poly:
+    """The generator of the interval ``key`` in the interval's coordinates."""
+    return invariant_for(key, NeighbouringPair(0, len(key) - 1, key[0])).polynomial
+
+
+# Process-lifetime memos, keyed by the interval key and the route (whether
+# the generator is expanded), with every position set an int bitmask over
+# the route's sorted variables: the variables themselves, the zero tests,
+# the restrictions and, past the bound, the generator's sign.  A miss is
+# computed on the caller's diagram; values are stored in interval
+# coordinates.
+_VARIABLES: dict = {}
+_ZERO_TESTS: dict = {}
+_RESTRICTIONS: dict = {}
+_SIGNS: dict = {}
+_MEMOS = (_VARIABLES, _ZERO_TESTS, _RESTRICTIONS, _SIGNS)
+
+
 def _expanded(diagram: Diagram, pair: NeighbouringPair) -> bool:
     """Whether the checks read the pair's fully expanded generator: the
     vanishing and Weierstrass checks both route by this rule."""
     return len(interval_entries(diagram, pair)) <= SYMBOLIC_MAX_N
+
+
+def _variables(diagram: Diagram, pair: NeighbouringPair) -> tuple[tuple[int, ...], int, bool, tuple[Pos, ...]]:
+    """The pair's interval key and offset, its route, and the sorted
+    positions, in interval coordinates, that a zero set or a restriction can
+    touch: the expanded generator's variables, or past the bound the minor's
+    variable cells."""
+    key, offset = _interval(diagram, pair)
+    expanded = _expanded(diagram, pair)
+    variables = _VARIABLES.get((key, expanded))
+    if variables is None:
+        if expanded:
+            found = _generator(key).variables()
+        else:
+            found = _shift((c for line in _minor_cells(diagram, pair) for c in line if c not in (None, "a")), -offset)
+        variables = _VARIABLES[(key, expanded)] = tuple(sorted(found))
+    return key, offset, expanded, variables
+
+
+def _mask(variables: tuple[Pos, ...], offset: int, positions: frozenset[Pos]) -> int:
+    """The bitmask of the ``variables`` that, shifted by ``offset``, lie in
+    ``positions``."""
+    mask = 0
+    for k, (i, j) in enumerate(variables):
+        if (i + offset, j + offset) in positions:
+            mask |= 1 << k
+    return mask
+
+
+def _shift(positions, offset: int) -> tuple[Pos, ...]:
+    return tuple((i + offset, j + offset) for i, j in positions)
+
+
+def _shifted(poly: Poly, offset: int) -> Poly:
+    return Poly({_shift(mono, offset): coeff for mono, coeff in poly.terms.items()})
+
+
+def _zero_test(diagram: Diagram, pair: NeighbouringPair, zeroed: frozenset[Pos]) -> tuple[bool, tuple | None]:
+    """Whether the pair's generator dies with ``zeroed`` set to 0, and a
+    surviving generator's witness; computed once per interval key and zero
+    set within the variables.  Shifting keeps position order, so the least
+    monomial shifts back unchanged."""
+    key, offset, expanded, variables = _variables(diagram, pair)
+    memo_key = (key, expanded, _mask(variables, offset, zeroed))
+    if memo_key not in _ZERO_TESTS:
+        if expanded:
+            result = _symbolic_zero(_generator(key), frozenset(_shift(zeroed, -offset)))
+        else:
+            result = _matching_zero(diagram, pair, _minor_cells(diagram, pair), zeroed)
+        _ZERO_TESTS[memo_key] = result
+    ok, witness = _ZERO_TESTS[memo_key]
+    return ok, _shift(witness, offset) if expanded and witness else witness
 
 
 def restricted_generator(
@@ -411,17 +494,31 @@ def restricted_generator(
     ones: frozenset[Pos],
 ) -> Poly:
     """The generator with the coordinates in ``symbolic`` kept, the others
-    in ``ones`` set to 1 and all the rest to 0.
+    in ``ones`` set to 1 and all the rest to 0, computed once per interval
+    key and the two sets within the variables.
 
     Up to ``SYMBOLIC_MAX_N`` the expanded generator is substituted into;
     past it, the truncated expansion runs on the restricted minor and one
     assignment gives the sign, so the generator is never expanded."""
+    key, offset, expanded, variables = _variables(diagram, pair)
+    memo_key = (key, expanded, _mask(variables, offset, symbolic), _mask(variables, offset, ones))
+    if memo_key not in _RESTRICTIONS:
+        _RESTRICTIONS[memo_key] = _restrict(diagram, pair, symbolic, ones)
+    return _shifted(_RESTRICTIONS[memo_key], offset)
+
+
+def _restrict(diagram: Diagram, pair: NeighbouringPair, symbolic: frozenset[Pos], ones: frozenset[Pos]) -> Poly:
+    """``restricted_generator``, uncached, in interval coordinates."""
+    key, offset = _interval(diagram, pair)
     if _expanded(diagram, pair):
-        poly = invariant_for(diagram.parts, pair).polynomial
-        return poly.substitute({pos: int(pos in ones) for pos in poly.variables() if pos not in symbolic})
+        poly = _generator(key)
+        kept, set_to_one = (frozenset(_shift(positions, -offset)) for positions in (symbolic, ones))
+        return poly.substitute({pos: int(pos in set_to_one) for pos in poly.variables() if pos not in kept})
     d, degree = boxes_below_band(diagram, pair), true_degree(diagram, pair)
-    rest = _truncated_minor(diagram, pair, d, degree, symbolic, ones)
-    return rest if _generator_sign(diagram, pair, d) == 1 else -rest
+    rest = _shifted(_truncated_minor(diagram, pair, d, degree, symbolic, ones), -offset)
+    if key not in _SIGNS:
+        _SIGNS[key] = _generator_sign(diagram, pair, d)
+    return rest if _SIGNS[key] == 1 else -rest
 
 
 def _matching_vanishes(diagram: Diagram, pair: NeighbouringPair, cells: list[list], zeroed: frozenset[Pos]) -> bool:
@@ -478,8 +575,8 @@ def _witness_json(witness):
     return [list(p) for p in sorted(witness)]
 
 
-def _symbolic_zero(record: InvariantRecord, zeroed: frozenset[Pos]):
-    reduced = record.polynomial.substitute({p: 0 for p in zeroed})
+def _symbolic_zero(generator: Poly, zeroed: frozenset[Pos]):
+    reduced = generator.substitute({p: 0 for p in zeroed})
     if reduced.is_zero():
         return True, None
     witness = min(reduced.monomial_support(), key=sorted)
@@ -504,16 +601,9 @@ def vanishing_check(ct: ComponentTableau, roots: ExcludedRootSet) -> VanishingRe
     results = []
     for pair in neighbouring_pairs(diagram):
         specific = trail_exclusions(roots, penetrating_string(ct, pair))
-        if _expanded(diagram, pair):
-            record = invariant_for(diagram.parts, pair)
-            g_ok, g_wit = _symbolic_zero(record, roots.excluded)
-            s_ok, s_wit = _symbolic_zero(record, specific)
-            mode = "symbolic"
-        else:
-            cells = _minor_cells(diagram, pair)
-            g_ok, g_wit = _matching_zero(diagram, pair, cells, roots.excluded)
-            s_ok, s_wit = _matching_zero(diagram, pair, cells, specific)
-            mode = "randomized"
+        g_ok, g_wit = _zero_test(diagram, pair, roots.excluded)
+        s_ok, s_wit = _zero_test(diagram, pair, specific)
+        mode = "symbolic" if _expanded(diagram, pair) else "randomized"
         results.append(PairVanishing(pair, mode, g_ok, s_ok, g_wit, s_wit, specific))
     return VanishingReport(tuple(results))
 

@@ -11,6 +11,7 @@ from nilfibre.core import (
     Composition,
     InternalConsistencyError,
     InvalidInput,
+    NeighbouringPair,
     boxes_below_band,
     diagram_of,
     interval_entries,
@@ -505,7 +506,7 @@ def test_restricted_route_reports_match_the_expanded_route(monkeypatch):
 
 
 @pytest.mark.parametrize("parts", [(5, 3, 5), (4, 1, 2, 2, 4)])
-def test_no_generator_past_the_bound_is_expanded(monkeypatch, parts):
+def test_no_generator_past_the_bound_is_expanded(monkeypatch, fresh_memos, parts):
     from nilfibre import invariants
 
     extracted = []
@@ -516,19 +517,192 @@ def test_no_generator_past_the_bound_is_expanded(monkeypatch, parts):
         return extract(diagram, pair, minor)
 
     monkeypatch.setattr(invariants, "extract_invariant", counting)
-    invariants.invariant_for.cache_clear()
-    try:
-        verify_composition(Composition(parts))
-        inner = [p for p in neighbouring_pairs(diagram_of(parts)) if p != full_span_pair(parts)]
-        assert len(extracted) == len(inner)
-        assert all(size <= SYMBOLIC_MAX_N for size in extracted)
-        extracted.clear()
-        invariants.invariant_for.cache_clear()
-        monkeypatch.setattr(invariants, "SYMBOLIC_MAX_N", 0)
-        verify_composition(Composition(parts), ("weierstrass", "injectivity"))
-        assert extracted == []
-    finally:
-        invariants.invariant_for.cache_clear()
+    verify_composition(Composition(parts))
+    inner = [p for p in neighbouring_pairs(diagram_of(parts)) if p != full_span_pair(parts)]
+    # one extraction per interval key of an inner pair
+    assert len(extracted) == len({parts[p.left : p.right + 1] for p in inner})
+    assert all(size <= SYMBOLIC_MAX_N for size in extracted)
+    extracted.clear()
+    fresh_memos()
+    monkeypatch.setattr(invariants, "SYMBOLIC_MAX_N", 0)
+    verify_composition(Composition(parts), ("weierstrass", "injectivity"))
+    assert extracted == []
+
+
+def _interval_of(parts, pair):
+    # the pair's interval key (the interval's parts, the first being the
+    # pair's height), its pair in interval coordinates and the offset
+    # c_1 + ... + c_(l-1), built here from the parts alone
+    local = parts[pair.left : pair.right + 1]
+    return local, NeighbouringPair(0, len(local) - 1, pair.height), sum(parts[: pair.left])
+
+
+def _shift(positions, offset):
+    return frozenset((i - offset, j - offset) for i, j in positions)
+
+
+def test_interval_generator_shifts_to_the_compositions_generator():
+    # the generator of every pair of n <= 10 is its interval's generator
+    # with every position shifted by the offset
+    checked = 0
+    for n in range(1, 11):
+        for parts in compositions_of(n):
+            d = diagram_of(parts)
+            for pair in neighbouring_pairs(d):
+                local, local_pair, offset = _interval_of(parts, pair)
+                shifted = extract_invariant(diagram_of(local), local_pair)
+                direct = extract_invariant(d, pair)
+                poly = Poly(
+                    {tuple((i + offset, j + offset) for i, j in mono): c for mono, c in shifted.polynomial.terms.items()}
+                )
+                assert (poly, shifted.degree, shifted.band_boxes) == (
+                    direct.polynomial,
+                    direct.degree,
+                    direct.band_boxes,
+                ), (parts, pair)
+                checked += 1
+    assert checked == 2515
+
+
+MEMO_CASES = [parts for n in range(1, 10) for parts in compositions_of(n)] + [
+    (3, 1, 2, 2, 3),
+    (2, 1, 1, 5, 2),
+    (5, 3, 5),
+    (4, 1, 2, 2, 4),
+]
+
+
+def test_memoized_zero_tests_and_restrictions_match_the_direct_route(monkeypatch, fresh_memos):
+    # the interval-keyed memos against both zero tests, with their
+    # witnesses, and the restriction, rebuilt here on the whole diagram
+    # with nothing memoized; past the checks' own sets, the empty zero set
+    # and the ones let generators survive with a witness, and two more
+    # restrictions share the checks' stars or ones; the restricted route
+    # runs second, on memos the default route has filled
+    from nilfibre import invariants
+    from nilfibre.invariants import _generator_sign, _matching_zero, _minor_cells, _truncated_minor, _zero_test
+
+    generators = {}
+
+    def generator(d, pair):
+        if (d.parts, pair) not in generators:
+            generators[d.parts, pair] = extract_invariant(d, pair).polynomial
+        return generators[d.parts, pair]
+
+    def zero_test(d, pair, zeroed):
+        if len(interval_entries(d, pair)) > bound:
+            return _matching_zero(d, pair, _minor_cells(d, pair), zeroed)
+        reduced = generator(d, pair).substitute({p: 0 for p in zeroed})
+        if reduced.is_zero():
+            return True, None
+        return False, tuple(sorted(min(reduced.monomial_support(), key=sorted)))
+
+    def restriction(d, pair, symbolic, ones):
+        if len(interval_entries(d, pair)) > bound:
+            b, degree = boxes_below_band(d, pair), true_degree(d, pair)
+            return _truncated_minor(d, pair, b, degree, symbolic, ones) * Poly.const(_generator_sign(d, pair, b))
+        poly = generator(d, pair)
+        return poly.substitute({p: int(p in ones) for p in poly.variables() if p not in symbolic})
+
+    checked = survivors = 0
+    for bound, parts in [(bound, parts) for bound in (SYMBOLIC_MAX_N, 0) for parts in MEMO_CASES]:
+        monkeypatch.setattr(invariants, "SYMBOLIC_MAX_N", bound)
+        d = diagram_of(parts)
+        for ct in component_tableaux(parts):
+            roots = excluded_roots(ct)
+            for result in vanishing_check(ct, roots).results:
+                pair = result.pair
+                assert (result.global_ok, result.global_witness) == zero_test(d, pair, roots.excluded), (parts, pair)
+                assert (result.specific_ok, result.specific_witness) == zero_test(d, pair, result.exclusions), (parts, pair)
+                for zeroed in (frozenset(), ct.e_support):
+                    got = _zero_test(d, pair, zeroed)
+                    assert got == zero_test(d, pair, zeroed), (parts, pair, zeroed)
+                    survivors += not got[0]
+                for symbolic, ones in (
+                    (ct.v_support, ct.e_support),
+                    (ct.v_support, frozenset()),
+                    (frozenset(), ct.e_support | ct.v_support),
+                ):
+                    got = restricted_generator(d, pair, symbolic, ones)
+                    assert got == restriction(d, pair, symbolic, ones), (parts, pair, symbolic, ones)
+                checked += 1
+    assert checked == 2 * 1730
+    assert survivors > 2 * 1730
+
+
+@pytest.mark.parametrize("bound", [SYMBOLIC_MAX_N, 0])
+def test_each_zero_test_and_restriction_key_is_computed_once(monkeypatch, fresh_memos, bound):
+    # over a sweep of n <= 9 a zero test or a restriction runs once per
+    # interval key and position sets within the key's variables: the
+    # generator's (the disjoint chains' positions) up to the bound, the
+    # minor's variable cells past it; the keys are counted here from the
+    # tableaux, apart from the memos
+    from nilfibre import invariants
+    from nilfibre.conformance import sweep
+    from nilfibre.invariants import _minor_cells
+
+    monkeypatch.setattr(invariants, "SYMBOLIC_MAX_N", bound)
+    zero_keys, restriction_keys = set(), set()
+    for n in range(1, 10):
+        for parts in compositions_of(n):
+            d = diagram_of(parts)
+            variables = {}
+            for pair in neighbouring_pairs(d):
+                key, _, offset = _interval_of(parts, pair)
+                if len(interval_entries(d, pair)) <= bound:
+                    cells = frozenset().union(*chain_support(d, pair))
+                else:
+                    cells = frozenset(c for line in _minor_cells(d, pair) for c in line if c not in (None, "a"))
+                variables[pair] = (key, offset, cells)
+            for ct in component_tableaux(parts):
+                roots = excluded_roots(ct)
+                for pair, (key, offset, cells) in variables.items():
+                    specific = trail_exclusions(roots, penetrating_string(ct, pair))
+                    for zeroed in (roots.excluded, specific):
+                        zero_keys.add((key, _shift(zeroed & cells, offset)))
+                    stars, ones = _shift(ct.v_support & cells, offset), _shift(ct.e_support & cells, offset)
+                    restriction_keys.add((key, stars, ones))
+
+    calls = {"extract": 0, "zero": 0, "restrict": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(invariants, "extract_invariant", counting("extract", invariants.extract_invariant))
+    monkeypatch.setattr(invariants, "_symbolic_zero", counting("zero", invariants._symbolic_zero))
+    monkeypatch.setattr(invariants, "_matching_zero", counting("zero", invariants._matching_zero))
+    monkeypatch.setattr(invariants, "_restrict", counting("restrict", invariants._restrict))
+    for report in sweep(9, ("vanishing", "weierstrass", "injectivity")):
+        assert report["pass"], report["composition"]
+    assert calls == {
+        "extract": 46 if bound else 0,
+        "zero": len(zero_keys),
+        "restrict": len(restriction_keys),
+    }
+    assert (len(zero_keys), len(restriction_keys)) == (157, 106)
+
+
+def test_verifying_every_composition_of_9_extracts_one_generator_per_interval_key(monkeypatch, fresh_memos):
+    from nilfibre import invariants
+
+    extracted = []
+    extract = invariants.extract_invariant
+
+    def counting(diagram, pair, minor=None):
+        extracted.append((diagram.parts, pair))
+        return extract(diagram, pair, minor)
+
+    monkeypatch.setattr(invariants, "extract_invariant", counting)
+    keys = set()
+    for parts in compositions_of(9):
+        assert verify_composition(Composition(parts))["pass"], parts
+        keys |= {_interval_of(parts, pair)[0] for pair in neighbouring_pairs(diagram_of(parts))}
+    assert len(extracted) == len(set(extracted)) == len(keys) == 46
+    assert invariant_for.cache_info().currsize == 46
 
 
 @pytest.mark.parametrize("parts, modes", [((5, 3, 5), ["randomized"]), ((4, 1, 2, 2, 4), ["randomized", "symbolic"])])
