@@ -17,7 +17,7 @@ from .core import (
     neighbouring_pairs,
 )
 from .builder import ComponentTableau
-from .invariants import VanishingReport, WeierstrassReport, invariant_for
+from .invariants import VanishingReport, WeierstrassReport, _generator, _interval, _shift
 from .linalg import exact_rank, row_basis
 from .roots import ExcludedRootSet, bracket_closure_violations
 
@@ -357,7 +357,8 @@ def invariant_variable_disjointness(diagram: Diagram) -> bool:
     coordinates (true for partition-shaped compositions)."""
     seen: set[Pos] = set()
     for pair in neighbouring_pairs(diagram):
-        vars_ = invariant_for(diagram.parts, pair).polynomial.variables()
+        key, offset = _interval(diagram, pair)
+        vars_ = frozenset(_shift(_generator(key).variables(), offset))
         if seen & vars_:
             return False
         seen |= vars_

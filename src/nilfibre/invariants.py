@@ -13,11 +13,13 @@ Extraction expands the minor only up to a^d, with each term held as a
 parameter power and a bitmask of variables.  ``symbolic_minor`` is the full
 expansion, one ``Poly`` per power of the parameter, kept as the reference
 the tests compare against; nothing else holds the parameter.
-For a pair whose interval exceeds ``SYMBOLIC_MAX_N`` the generator is never
-expanded: its restrictions and values come from the same truncated
-expansion on a restricted minor, its sign and zero tests from a min-cost
-perfect matching of the minor's cells.  No monomial cancels, so both zero
-tests are exact; nothing here draws a random number.
+No monomial cancels, so one min-cost perfect matching of the minor's cells
+decides every zero test, on either route, and gives the generator's least
+surviving monomial with its sign; no zero test reads the expanded
+generator.  Up to ``SYMBOLIC_MAX_N`` a restriction substitutes into the
+expanded generator; past it the generator is never expanded, and a
+restriction is the same truncated expansion on a restricted minor, signed
+by the least monomial.  Nothing here draws a random number.
 
 The checks read a pair's generator through its interval alone, keyed by
 the parts from the pair's left to its right column (the first is the
@@ -52,8 +54,8 @@ from .builder import ComponentTableau
 from .poly import Poly
 from .roots import ExcludedRootSet, penetrating_string, special_star_line, trail_exclusions
 
-# The largest interval whose generator the checks expand; past it they read
-# restricted minors and matchings, which are slower on small intervals.
+# The largest interval whose generator the restrictions expand; past it they
+# read restricted minors, which are slower on small intervals.
 SYMBOLIC_MAX_N = 10
 
 
@@ -270,27 +272,37 @@ def _min_cost_matching(costs: list[list[int | None]]) -> list[int] | None:
     return match
 
 
-def _generator_sign(diagram: Diagram, pair: NeighbouringPair, d: int) -> int:
-    """The sign that ``sign_normalized`` gives the coefficient of ``a^d``:
-    that coefficient's value on its lexicographically least monomial.
+def _least_monomial(
+    diagram: Diagram, pair: NeighbouringPair, zeroed: frozenset[Pos]
+) -> tuple[tuple[Pos, ...], int] | None:
+    """The lexicographically least monomial of the pair's generator with the
+    positions in ``zeroed`` set to 0, as sorted positions, and the sign of
+    its coefficient; None when the generator dies there.
 
     Each monomial comes from exactly one permutation of the minor, with all
-    its cells equal to 1, so its coefficient is that permutation's sign.
-    With N variable cells, a parameter cell costs 2^(N+2) and the k-th
-    variable cell in sorted position order -2^(N-k), so a minimum-cost
-    perfect matching takes the fewest parameter cells, d, and then, each
-    weight exceeding the sum of all later ones, the least monomial."""
+    its cells equal to 1, so no monomial cancels and its coefficient is that
+    permutation's sign.  With N variable cells, a parameter cell costs
+    2^(N+2) and the k-th variable cell in sorted position order -2^(N-k), and
+    the cells in ``zeroed`` are deleted.  A minimum-cost perfect matching then
+    takes the fewest parameter cells and, each weight exceeding the sum of
+    all later ones, the least monomial among them.  The generator dies iff no
+    perfect matching exists or the fewest exceed the valuation's d; fewer
+    than d raises."""
     cells = _minor_cells(diagram, pair)
     positions = sorted(cell for line in cells for cell in line if cell not in (None, "a"))
     weight: dict = {pos: -(1 << (len(positions) - k)) for k, pos in enumerate(positions)}
     weight["a"] = 1 << (len(positions) + 2)
-    match = _min_cost_matching([[None if cell is None else weight[cell] for cell in line] for line in cells])
+    match = _min_cost_matching([[None if cell is None or cell in zeroed else weight[cell] for cell in line] for line in cells])
     if match is None:
-        raise InternalConsistencyError(f"the minor of {pair} has no perfect matching")
-    if sum(cells[r][q] == "a" for r, q in enumerate(match)) != d:
-        raise InternalConsistencyError(f"the least monomial of {pair} is not at the power a^{d}")
+        return None
+    chosen = [cells[r][q] for r, q in enumerate(match)]
+    d, parameters = boxes_below_band(diagram, pair), chosen.count("a")
+    if parameters < d:
+        raise _below_valuation(pair, d)
+    if parameters > d:
+        return None
     inversions = sum(p > q for p, q in combinations(match, 2))
-    return -1 if inversions & 1 else 1
+    return tuple(sorted(cell for cell in chosen if cell != "a")), -1 if inversions & 1 else 1
 
 
 def extract_invariant(
@@ -416,40 +428,34 @@ def _generator(key: tuple[int, ...]) -> Poly:
     return invariant_for(key, NeighbouringPair(0, len(key) - 1, key[0])).polynomial
 
 
-# Process-lifetime memos, keyed by the interval key and the route (whether
-# the generator is expanded), with every position set an int bitmask over
-# the route's sorted variables: the variables themselves, the zero tests,
-# the restrictions and, past the bound, the generator's sign.  A miss is
-# computed on the caller's diagram; values are stored in interval
-# coordinates.
+# Process-lifetime memos, keyed by the interval key, with every position set
+# an int bitmask over the sorted variable cells of the interval's minor: the
+# cells themselves, the least monomials (each zero test, and with nothing
+# zeroed the sign that the restricted minors take past the bound) and the
+# restrictions, whose keys also carry the route.  A miss is computed on the
+# caller's diagram; values are stored in interval coordinates.
 _VARIABLES: dict = {}
 _ZERO_TESTS: dict = {}
 _RESTRICTIONS: dict = {}
-_SIGNS: dict = {}
-_MEMOS = (_VARIABLES, _ZERO_TESTS, _RESTRICTIONS, _SIGNS)
+_MEMOS = (_VARIABLES, _ZERO_TESTS, _RESTRICTIONS)
 
 
 def _expanded(diagram: Diagram, pair: NeighbouringPair) -> bool:
-    """Whether the checks read the pair's fully expanded generator: the
-    vanishing and Weierstrass checks both route by this rule."""
+    """Whether the restriction substitutes into the pair's fully expanded
+    generator; schema 1's vanishing report also names this route."""
     return len(interval_entries(diagram, pair)) <= SYMBOLIC_MAX_N
 
 
-def _variables(diagram: Diagram, pair: NeighbouringPair) -> tuple[tuple[int, ...], int, bool, tuple[Pos, ...]]:
-    """The pair's interval key and offset, its route, and the sorted
-    positions, in interval coordinates, that a zero set or a restriction can
-    touch: the expanded generator's variables, or past the bound the minor's
-    variable cells."""
+def _variables(diagram: Diagram, pair: NeighbouringPair) -> tuple[tuple[int, ...], int, tuple[Pos, ...]]:
+    """The pair's interval key and offset, and the sorted variable cells of
+    its minor in interval coordinates: every position that a zero set or a
+    restriction can touch."""
     key, offset = _interval(diagram, pair)
-    expanded = _expanded(diagram, pair)
-    variables = _VARIABLES.get((key, expanded))
+    variables = _VARIABLES.get(key)
     if variables is None:
-        if expanded:
-            found = _generator(key).variables()
-        else:
-            found = _shift((c for line in _minor_cells(diagram, pair) for c in line if c not in (None, "a")), -offset)
-        variables = _VARIABLES[(key, expanded)] = tuple(sorted(found))
-    return key, offset, expanded, variables
+        cells = (c for line in _minor_cells(diagram, pair) for c in line if c not in (None, "a"))
+        variables = _VARIABLES[key] = tuple(sorted(_shift(cells, -offset)))
+    return key, offset, variables
 
 
 def _mask(variables: tuple[Pos, ...], offset: int, positions: frozenset[Pos]) -> int:
@@ -470,21 +476,17 @@ def _shifted(poly: Poly, offset: int) -> Poly:
     return Poly({_shift(mono, offset): coeff for mono, coeff in poly.terms.items()})
 
 
-def _zero_test(diagram: Diagram, pair: NeighbouringPair, zeroed: frozenset[Pos]) -> tuple[bool, tuple | None]:
-    """Whether the pair's generator dies with ``zeroed`` set to 0, and a
-    surviving generator's witness; computed once per interval key and zero
-    set within the variables.  Shifting keeps position order, so the least
-    monomial shifts back unchanged."""
-    key, offset, expanded, variables = _variables(diagram, pair)
-    memo_key = (key, expanded, _mask(variables, offset, zeroed))
+def _zero_test(diagram: Diagram, pair: NeighbouringPair, zeroed: frozenset[Pos]) -> tuple[tuple[Pos, ...], int] | None:
+    """``_least_monomial``, computed once per interval key and zero set
+    within the minor's variable cells.  Shifting keeps position order, so
+    the least monomial shifts back unchanged."""
+    key, offset, variables = _variables(diagram, pair)
+    memo_key = (key, _mask(variables, offset, zeroed))
     if memo_key not in _ZERO_TESTS:
-        if expanded:
-            result = _symbolic_zero(_generator(key), frozenset(_shift(zeroed, -offset)))
-        else:
-            result = _matching_zero(diagram, pair, _minor_cells(diagram, pair), zeroed)
-        _ZERO_TESTS[memo_key] = result
-    ok, witness = _ZERO_TESTS[memo_key]
-    return ok, _shift(witness, offset) if expanded and witness else witness
+        least = _least_monomial(diagram, pair, zeroed)
+        _ZERO_TESTS[memo_key] = None if least is None else (_shift(least[0], -offset), least[1])
+    least = _ZERO_TESTS[memo_key]
+    return None if least is None else (_shift(least[0], offset), least[1])
 
 
 def restricted_generator(
@@ -495,13 +497,13 @@ def restricted_generator(
 ) -> Poly:
     """The generator with the coordinates in ``symbolic`` kept, the others
     in ``ones`` set to 1 and all the rest to 0, computed once per interval
-    key and the two sets within the variables.
+    key, route and the two sets within the minor's variable cells.
 
     Up to ``SYMBOLIC_MAX_N`` the expanded generator is substituted into;
-    past it, the truncated expansion runs on the restricted minor and one
-    assignment gives the sign, so the generator is never expanded."""
-    key, offset, expanded, variables = _variables(diagram, pair)
-    memo_key = (key, expanded, _mask(variables, offset, symbolic), _mask(variables, offset, ones))
+    past it, the truncated expansion runs on the restricted minor and takes
+    the sign of the least monomial, so the generator is never expanded."""
+    key, offset, variables = _variables(diagram, pair)
+    memo_key = (key, _expanded(diagram, pair), _mask(variables, offset, symbolic), _mask(variables, offset, ones))
     if memo_key not in _RESTRICTIONS:
         _RESTRICTIONS[memo_key] = _restrict(diagram, pair, symbolic, ones)
     return _shifted(_RESTRICTIONS[memo_key], offset)
@@ -516,31 +518,16 @@ def _restrict(diagram: Diagram, pair: NeighbouringPair, symbolic: frozenset[Pos]
         return poly.substitute({pos: int(pos in set_to_one) for pos in poly.variables() if pos not in kept})
     d, degree = boxes_below_band(diagram, pair), true_degree(diagram, pair)
     rest = _shifted(_truncated_minor(diagram, pair, d, degree, symbolic, ones), -offset)
-    if key not in _SIGNS:
-        _SIGNS[key] = _generator_sign(diagram, pair, d)
-    return rest if _SIGNS[key] == 1 else -rest
-
-
-def _matching_vanishes(diagram: Diagram, pair: NeighbouringPair, cells: list[list], zeroed: frozenset[Pos]) -> bool:
-    """The exact zero test on the minor's ``cells``.  No monomial cancels,
-    so the generator is zero once ``zeroed`` is iff no perfect matching of
-    the live cells outside ``zeroed`` uses the valuation's d parameter
-    cells (one 0/1-cost assignment), and none uses fewer."""
-    d = boxes_below_band(diagram, pair)
-    costs = [[1 if cell == "a" else None if cell is None or cell in zeroed else 0 for cell in line] for line in cells]
-    match = _min_cost_matching(costs)
-    if match is None:
-        return True
-    parameters = sum(costs[r][q] for r, q in enumerate(match))
-    if parameters < d:
-        raise _below_valuation(pair, d)
-    return parameters > d
+    least = _zero_test(diagram, pair, frozenset())
+    if least is None:
+        raise InternalConsistencyError(f"the generator of {pair} is zero")
+    return rest if least[1] == 1 else -rest
 
 
 @dataclass(frozen=True)
 class PairVanishing:
     pair: NeighbouringPair
-    mode: str  # "symbolic", or "randomized": schema 1's name for the matching route
+    mode: str  # "symbolic", or "randomized": schema 1's name for the route past the bound
     global_ok: bool
     specific_ok: bool
     global_witness: tuple | None
@@ -575,36 +562,26 @@ def _witness_json(witness):
     return [list(p) for p in sorted(witness)]
 
 
-def _symbolic_zero(generator: Poly, zeroed: frozenset[Pos]):
-    reduced = generator.substitute({p: 0 for p in zeroed})
-    if reduced.is_zero():
-        return True, None
-    witness = min(reduced.monomial_support(), key=sorted)
-    return False, tuple(sorted(witness))
-
-
-def _matching_zero(diagram: Diagram, pair: NeighbouringPair, cells: list[list], zeroed: frozenset[Pos]):
-    if _matching_vanishes(diagram, pair, cells, zeroed):
-        return True, None
-    return False, ("nonzero evaluation",)
-
-
 def vanishing_check(ct: ComponentTableau, roots: ExcludedRootSet) -> VanishingReport:
     """Every generator must die when the excluded coordinates are zeroed
     (global mode), and each generator already dies under the exclusions of its
     own penetrating trail (specific mode).
 
-    Past ``SYMBOLIC_MAX_N`` both are decided by the matching test; the mode
-    keeps schema 1's name for that route, "randomized", and a surviving
-    generator's witness is its label, not a monomial."""
+    Both claims are decided by the least monomial's assignment, which also
+    gives a surviving generator's witness.  Past ``SYMBOLIC_MAX_N`` schema 1
+    names the route "randomized" and writes the label "nonzero evaluation"
+    in place of the witness."""
     diagram = ct.diagram
     results = []
     for pair in neighbouring_pairs(diagram):
         specific = trail_exclusions(roots, penetrating_string(ct, pair))
-        g_ok, g_wit = _zero_test(diagram, pair, roots.excluded)
-        s_ok, s_wit = _zero_test(diagram, pair, specific)
-        mode = "symbolic" if _expanded(diagram, pair) else "randomized"
-        results.append(PairVanishing(pair, mode, g_ok, s_ok, g_wit, s_wit, specific))
+        expanded = _expanded(diagram, pair)
+        g_wit, s_wit = (
+            None if least is None else least[0] if expanded else ("nonzero evaluation",)
+            for least in (_zero_test(diagram, pair, roots.excluded), _zero_test(diagram, pair, specific))
+        )
+        mode = "symbolic" if expanded else "randomized"
+        results.append(PairVanishing(pair, mode, g_wit is None, s_wit is None, g_wit, s_wit, specific))
     return VanishingReport(tuple(results))
 
 

@@ -22,8 +22,6 @@ from nilfibre.conformance import compositions_of, verify_composition
 from nilfibre.core import Composition, InternalConsistencyError, InvalidInput, diagram_of, interval_entries, neighbouring_pairs
 from nilfibre.invariants import (
     SYMBOLIC_MAX_N,
-    _matching_vanishes,
-    _minor_cells,
     invariant_for,
     restricted_generator,
     vanishing_check,
@@ -352,12 +350,13 @@ def test_injectivity_small_sweep(small_compositions):
             assert witness_of(a, b).ok, parts
 
 
-def _recomputed_witness(a, b, bound):
+def _recomputed_witness(a, b):
     """The route injectivity replaced: the order from both penetrating
     trails, then the lower tableau's trail exclusions zeroed and the
-    generator evaluated at the higher tableau's section point, substituted
-    into the expanded generator within the bound and decided by the
-    assignment and the restricted minor past it."""
+    generator evaluated at the higher tableau's section point.  The zero
+    test substitutes into the expanded generator on both routes, which is
+    cheap at these sizes; the value comes from the restricted minor past the
+    bound."""
     d = a.diagram
     pair = next(p for p in neighbouring_pairs(d) if a.pair_entry()[p] != b.pair_entry()[p])
     record_a, record_b = penetrating_string(a, pair), penetrating_string(b, pair)
@@ -366,10 +365,7 @@ def _recomputed_witness(a, b, bound):
     else:
         low, high, record = b, a, record_b
     excluded = trail_exclusions(excluded_roots(low), record)
-    if len(interval_entries(d, pair)) <= bound:
-        specific = invariant_for(d.parts, pair).polynomial.substitute({p: 0 for p in excluded}).is_zero()
-    else:
-        specific = _matching_vanishes(d, pair, _minor_cells(d, pair), excluded)
+    specific = invariant_for(d.parts, pair).polynomial.substitute({p: 0 for p in excluded}).is_zero()
     line_low, line_high = special_star_line(low, pair), special_star_line(high, pair)
     i_p, j_p = line_high
     value = restricted_generator(d, pair, frozenset(), high.e_support | {line_high}).constant_value()
@@ -400,7 +396,7 @@ def test_injectivity_matches_the_recomputed_route(monkeypatch, bound):
         ts = component_tableaux(parts)
         for a, b in combinations(ts, 2):
             w = witness_of(a, b)
-            assert w == _recomputed_witness(a, b, bound), (parts, a, b)
+            assert w == _recomputed_witness(a, b), (parts, a, b)
             compared += 1
             past += len(interval_entries(a.diagram, w.pair)) > bound
     assert compared == 290
@@ -441,6 +437,15 @@ def test_partition_disjoint_variables(small_compositions):
     for parts in small_compositions:
         if tuple(sorted(parts, reverse=True)) == parts:
             assert invariant_variable_disjointness(diagram_of(parts)), parts
+
+
+def test_disjointness_extracts_one_generator_per_interval_key(fresh_memos):
+    # it reads each generator through the pair's interval, as the checks do,
+    # so every composition of n <= 9 leaves one record per interval key
+    for n in range(1, 10):
+        for parts in compositions_of(n):
+            invariant_variable_disjointness(diagram_of(parts))
+    assert invariant_for.cache_info().currsize == 46
 
 
 @given(compositions)

@@ -357,11 +357,12 @@ def _least_monomial_coefficient(diagram, pair):
     return _truncated_minor(diagram, pair, d, degree, frozenset(), least).constant_value()
 
 
-def test_generator_sign_is_the_least_monomials_coefficient():
+def test_generator_sign_is_the_least_monomials_coefficient(monkeypatch):
     # every pair of n <= 9 and of the deep compositions of 12 and 13
     # (c_1 == c_k >= 3, interior parts below c_1), whose full-span pairs are
-    # past the bound
-    from nilfibre.invariants import _generator_sign
+    # past the bound: the sign of the un-zeroed least monomial
+    from nilfibre import invariants
+    from nilfibre.invariants import _least_monomial
 
     deep = [
         parts
@@ -376,44 +377,49 @@ def test_generator_sign_is_the_least_monomials_coefficient():
     ]
     for parts, pair in cases:
         d = diagram_of(parts)
-        sign = _generator_sign(d, pair, boxes_below_band(d, pair))
+        _, sign = _least_monomial(d, pair, frozenset())
         assert sign == _least_monomial_coefficient(d, pair), (parts, pair)
     assert len(cases) == 1270
-    # a least monomial off the valuation power has no sign to give
+    # a least monomial below the valuation power raises
     d = diagram_of(deep[0])
     pair = full_span_pair(deep[0])
-    with pytest.raises(InternalConsistencyError, match="least monomial"):
-        _generator_sign(d, pair, boxes_below_band(d, pair) + 1)
+    monkeypatch.setattr(invariants, "boxes_below_band", lambda diagram, pair: boxes_below_band(diagram, pair) + 1)
+    with pytest.raises(InternalConsistencyError, match="below valuation"):
+        _least_monomial(d, pair, frozenset())
 
 
-def test_matching_zero_test_matches_substitution():
-    # the past-bound zero test, vanishing's answer with its witness, against
-    # the expanded generator's substitution within the bound and against the
-    # disjoint chains past it
-    from nilfibre.invariants import _matching_zero, _minor_cells
+def test_matching_zero_test_matches_substitution(restricted_route):
+    # the zero test at a routing bound of 0, vanishing's answer with the
+    # witness that schema 1 writes as a label past the bound: the least
+    # monomial against the disjoint chains that survive the zero set, and,
+    # for the pairs within the default bound, the answer against the expanded
+    # generator's substitution; the checks' zero sets, the empty set and the
+    # ones
+    from nilfibre.invariants import _zero_test
 
     cases = [parts for n in range(1, 10) for parts in compositions_of(n)] + [(5, 3, 5), (4, 1, 2, 2, 4)]
     outcomes = []
     for parts in cases:
         d = diagram_of(parts)
         pairs = neighbouring_pairs(d)
-        cells = {pair: _minor_cells(d, pair) for pair in pairs}
-        chains = {pair: chain_support(d, pair) for pair in pairs if len(interval_entries(d, pair)) > SYMBOLIC_MAX_N}
-
-        def expected(pair, zeroed):
-            if pair in chains:
-                return all(monomial & zeroed for monomial in chains[pair])
-            return invariant_for(parts, pair).polynomial.substitute({p: 0 for p in zeroed}).is_zero()
-
+        chains = {pair: chain_support(d, pair) for pair in pairs}
         for ct in component_tableaux(parts):
             roots = excluded_roots(ct)
             for pair in pairs:
-                for zeroed in (roots.excluded, trail_exclusions(roots, penetrating_string(ct, pair)), frozenset()):
-                    zero = expected(pair, zeroed)
-                    witness = None if zero else ("nonzero evaluation",)
-                    assert _matching_zero(d, pair, cells[pair], zeroed) == (zero, witness), (parts, pair, zeroed)
-                    outcomes.append(zero)
-    assert (outcomes.count(True), outcomes.count(False)) == (3444, 1722)
+                specific = trail_exclusions(roots, penetrating_string(ct, pair))
+                for kind, zeroed in enumerate((roots.excluded, specific, frozenset(), ct.e_support)):
+                    least = _zero_test(d, pair, zeroed)
+                    expected = min((m for m in chains[pair] if not m & zeroed), key=sorted, default=None)
+                    witness = None if least is None else least[0]
+                    assert witness == (None if expected is None else tuple(sorted(expected))), (parts, pair, zeroed)
+                    if len(interval_entries(d, pair)) <= SYMBOLIC_MAX_N:
+                        reduced = invariant_for(parts, pair).polynomial.substitute({p: 0 for p in zeroed})
+                        assert reduced.is_zero() == (least is None), (parts, pair, zeroed)
+                    outcomes.append((kind, least is None))
+    checks = [zero for kind, zero in outcomes if kind < 3]
+    assert (checks.count(True), checks.count(False)) == (3444, 1722)
+    ones = [zero for kind, zero in outcomes if kind == 3]
+    assert (ones.count(True), ones.count(False)) == (176, 1546)
 
 
 def _det(matrix):
@@ -458,14 +464,15 @@ def _trial_loop(diagram, pair, zeroed, rng, trials=8):
         base = [[None if c == "a" else 0 if c is None or c in zeroed else rng.randrange(1, 1 << 32) for c in line] for line in cells]
         values = [_det([[a if v is None else v for v in line] for line in base]) for a in points]
         if _coefficient(points, values, d) != 0:
-            return False, ("nonzero evaluation",)
-    return True, None
+            return False
+    return True
 
 
 def test_randomized_zero_matches_the_trial_loop():
-    # the past-bound route's answer and witness against random trials of the
-    # generator's value, for zero and surviving generators alike
-    from nilfibre.invariants import _matching_zero, _minor_cells
+    # the least monomial's answer, on which both routes decide, against
+    # random trials of the generator's value, for zero and surviving
+    # generators alike
+    from nilfibre.invariants import _least_monomial
 
     cases = [parts for n in range(1, 10) for parts in compositions_of(n)] + [(5, 3, 5), (4, 1, 2, 2, 4)]
     rng = Random(3)
@@ -475,11 +482,10 @@ def test_randomized_zero_matches_the_trial_loop():
         for ct in component_tableaux(parts):
             roots = excluded_roots(ct)
             for pair in neighbouring_pairs(d):
-                cells = _minor_cells(d, pair)
                 for zeroed in (roots.excluded, trail_exclusions(roots, penetrating_string(ct, pair)), frozenset()):
-                    got = _matching_zero(d, pair, cells, zeroed)
-                    assert got == _trial_loop(d, pair, zeroed, rng), (parts, pair, zeroed)
-                    outcomes.append(got[0])
+                    vanishes = _least_monomial(d, pair, zeroed) is None
+                    assert vanishes == _trial_loop(d, pair, zeroed, rng), (parts, pair, zeroed)
+                    outcomes.append(vanishes)
     assert (outcomes.count(True), outcomes.count(False)) == (3444, 1722)
 
 
@@ -580,7 +586,7 @@ def test_memoized_zero_tests_and_restrictions_match_the_direct_route(monkeypatch
     # restrictions share the checks' stars or ones; the restricted route
     # runs second, on memos the default route has filled
     from nilfibre import invariants
-    from nilfibre.invariants import _generator_sign, _matching_zero, _minor_cells, _truncated_minor, _zero_test
+    from nilfibre.invariants import _least_monomial, _truncated_minor, _zero_test
 
     generators = {}
 
@@ -590,17 +596,26 @@ def test_memoized_zero_tests_and_restrictions_match_the_direct_route(monkeypatch
         return generators[d.parts, pair]
 
     def zero_test(d, pair, zeroed):
-        if len(interval_entries(d, pair)) > bound:
-            return _matching_zero(d, pair, _minor_cells(d, pair), zeroed)
-        reduced = generator(d, pair).substitute({p: 0 for p in zeroed})
-        if reduced.is_zero():
+        # within the bound the least monomial is also the expanded
+        # generator's least surviving monomial
+        least = _least_monomial(d, pair, zeroed)
+        if len(interval_entries(d, pair)) <= bound:
+            reduced = generator(d, pair).substitute({p: 0 for p in zeroed})
+            witness = None if reduced.is_zero() else tuple(sorted(min(reduced.monomial_support(), key=sorted)))
+            assert witness == (None if least is None else least[0]), (d.parts, pair, zeroed)
+        return least
+
+    def claim(d, pair, zeroed):
+        least = zero_test(d, pair, zeroed)
+        if least is None:
             return True, None
-        return False, tuple(sorted(min(reduced.monomial_support(), key=sorted)))
+        return False, least[0] if len(interval_entries(d, pair)) <= bound else ("nonzero evaluation",)
 
     def restriction(d, pair, symbolic, ones):
         if len(interval_entries(d, pair)) > bound:
             b, degree = boxes_below_band(d, pair), true_degree(d, pair)
-            return _truncated_minor(d, pair, b, degree, symbolic, ones) * Poly.const(_generator_sign(d, pair, b))
+            _, sign = _least_monomial(d, pair, frozenset())
+            return _truncated_minor(d, pair, b, degree, symbolic, ones) * Poly.const(sign)
         poly = generator(d, pair)
         return poly.substitute({p: int(p in ones) for p in poly.variables() if p not in symbolic})
 
@@ -612,12 +627,12 @@ def test_memoized_zero_tests_and_restrictions_match_the_direct_route(monkeypatch
             roots = excluded_roots(ct)
             for result in vanishing_check(ct, roots).results:
                 pair = result.pair
-                assert (result.global_ok, result.global_witness) == zero_test(d, pair, roots.excluded), (parts, pair)
-                assert (result.specific_ok, result.specific_witness) == zero_test(d, pair, result.exclusions), (parts, pair)
+                assert (result.global_ok, result.global_witness) == claim(d, pair, roots.excluded), (parts, pair)
+                assert (result.specific_ok, result.specific_witness) == claim(d, pair, result.exclusions), (parts, pair)
                 for zeroed in (frozenset(), ct.e_support):
                     got = _zero_test(d, pair, zeroed)
                     assert got == zero_test(d, pair, zeroed), (parts, pair, zeroed)
-                    survivors += not got[0]
+                    survivors += got is not None
                 for symbolic, ones in (
                     (ct.v_support, ct.e_support),
                     (ct.v_support, frozenset()),
@@ -632,28 +647,27 @@ def test_memoized_zero_tests_and_restrictions_match_the_direct_route(monkeypatch
 
 @pytest.mark.parametrize("bound", [SYMBOLIC_MAX_N, 0])
 def test_each_zero_test_and_restriction_key_is_computed_once(monkeypatch, fresh_memos, bound):
-    # over a sweep of n <= 9 a zero test or a restriction runs once per
-    # interval key and position sets within the key's variables: the
-    # generator's (the disjoint chains' positions) up to the bound, the
-    # minor's variable cells past it; the keys are counted here from the
-    # tableaux, apart from the memos
+    # over a sweep of n <= 9 a least monomial or a restriction is computed
+    # once per interval key and position sets within the minor's variable
+    # cells; past the bound each restriction's sign is the least monomial
+    # with nothing zeroed, which adds only the un-zeroed keys; the keys are
+    # counted here from the tableaux, apart from the memos
     from nilfibre import invariants
     from nilfibre.conformance import sweep
     from nilfibre.invariants import _minor_cells
 
     monkeypatch.setattr(invariants, "SYMBOLIC_MAX_N", bound)
-    zero_keys, restriction_keys = set(), set()
+    zero_keys, restriction_keys, unzeroed_keys = set(), set(), set()
     for n in range(1, 10):
         for parts in compositions_of(n):
             d = diagram_of(parts)
             variables = {}
             for pair in neighbouring_pairs(d):
                 key, _, offset = _interval_of(parts, pair)
-                if len(interval_entries(d, pair)) <= bound:
-                    cells = frozenset().union(*chain_support(d, pair))
-                else:
-                    cells = frozenset(c for line in _minor_cells(d, pair) for c in line if c not in (None, "a"))
+                cells = frozenset(c for line in _minor_cells(d, pair) for c in line if c not in (None, "a"))
                 variables[pair] = (key, offset, cells)
+                if len(interval_entries(d, pair)) > bound:
+                    unzeroed_keys.add((key, frozenset()))
             for ct in component_tableaux(parts):
                 roots = excluded_roots(ct)
                 for pair, (key, offset, cells) in variables.items():
@@ -673,17 +687,17 @@ def test_each_zero_test_and_restriction_key_is_computed_once(monkeypatch, fresh_
         return wrapped
 
     monkeypatch.setattr(invariants, "extract_invariant", counting("extract", invariants.extract_invariant))
-    monkeypatch.setattr(invariants, "_symbolic_zero", counting("zero", invariants._symbolic_zero))
-    monkeypatch.setattr(invariants, "_matching_zero", counting("zero", invariants._matching_zero))
+    monkeypatch.setattr(invariants, "_least_monomial", counting("zero", invariants._least_monomial))
     monkeypatch.setattr(invariants, "_restrict", counting("restrict", invariants._restrict))
     for report in sweep(9, ("vanishing", "weierstrass", "injectivity")):
         assert report["pass"], report["composition"]
     assert calls == {
         "extract": 46 if bound else 0,
-        "zero": len(zero_keys),
+        "zero": len(zero_keys | unzeroed_keys),
         "restrict": len(restriction_keys),
     }
-    assert (len(zero_keys), len(restriction_keys)) == (157, 106)
+    assert (len(zero_keys), len(restriction_keys), len(unzeroed_keys)) == (157, 106, 0 if bound else 46)
+    assert len(zero_keys | unzeroed_keys) == (157 if bound else 203)
 
 
 def test_verifying_every_composition_of_9_extracts_one_generator_per_interval_key(monkeypatch, fresh_memos):
@@ -703,6 +717,27 @@ def test_verifying_every_composition_of_9_extracts_one_generator_per_interval_ke
         keys |= {_interval_of(parts, pair)[0] for pair in neighbouring_pairs(diagram_of(parts))}
     assert len(extracted) == len(set(extracted)) == len(keys) == 46
     assert invariant_for.cache_info().currsize == 46
+
+
+def test_vanishing_alone_expands_no_generator(monkeypatch, fresh_memos):
+    # both claims and the witness come from the least monomial, so no
+    # generator is extracted; the entries are those of the all-checks report
+    from nilfibre import invariants
+
+    extracted = []
+    extract = invariants.extract_invariant
+
+    def counting(diagram, pair, minor=None):
+        extracted.append((diagram.parts, pair))
+        return extract(diagram, pair, minor)
+
+    monkeypatch.setattr(invariants, "extract_invariant", counting)
+    cases = [Composition(parts) for n in range(1, 10) for parts in compositions_of(n)]
+    alone = [verify_composition(c, ("vanishing",)) for c in cases]
+    assert extracted == []
+    for c, report in zip(cases, alone):
+        everything = verify_composition(c)
+        assert [t["vanishing"] for t in report["tableaux"]] == [t["vanishing"] for t in everything["tableaux"]], c
 
 
 @pytest.mark.parametrize("parts, modes", [((5, 3, 5), ["randomized"]), ((4, 1, 2, 2, 4), ["randomized", "symbolic"])])
