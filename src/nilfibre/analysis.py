@@ -125,43 +125,23 @@ class DimensionReport:
         }
 
 
-def _forest_size(edges: list[tuple[Pos | None, Pos | None]], ground: frozenset[Pos]) -> int:
-    """Edges in a spanning forest of the graph with these edges, where None
-    and the vertices in ``ground`` are one ground vertex: the rank of the
-    rows that are +1 and -1 at the two ends, with the ground's coordinates
-    deleted."""
-    parent: dict[Pos | None, Pos | None] = dict.fromkeys(ground)
-    parent[None] = None
-
-    def find(v: Pos | None) -> Pos | None:
-        parent.setdefault(v, v)
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    size = 0
-    for a, b in edges:
-        a, b = find(a), find(b)
-        if a != b:
-            parent[a] = b
-            size += 1
-    return size
-
-
 def tangent_dimension(ct: ComponentTableau, roots: ExcludedRootSet) -> DimensionReport:
     """Exact ranks behind the dimension count: the support space plus the
-    bracket image of the one-matrix misses exactly the starred span.  U and Y
-    are coordinate spans, so rank(S + NE) = |S| + rank(NE without S's
-    coordinates) for S = U, Y, U + Y.
+    bracket image of the one-matrix misses exactly the starred span.
 
     The one-matrix e is a partial permutation, so the bracket row [E_ij, e]
     is +1 at (i, l) for the (j, l) in e and -1 at (k, j) for the (k, i) in e:
     an edge between two nilradical coordinates, or to a ground vertex where
-    an end is missing or deleted.  The rank of such an incidence matrix is
-    the size of a spanning forest (Biggs, Algebraic Graph Theory, ch. 4), and
-    e's Jordan type is the lengths of its chains."""
+    an end is missing.  Only the rows with j among e's rows or i among e's
+    columns have an end, and a repeated row adds nothing.  The rank of such
+    an incidence matrix is the size of a spanning forest (Biggs, Algebraic
+    Graph Theory, ch. 4), so one union-find pass gives rank(NE).  Adding the
+    unit vectors of a coordinate set S contracts S into the ground, so
+    rank(S + NE) = rank(NE) + (number of components that S or the ground
+    meets) - 1, for S = U, Y, U + Y.  e's Jordan type is the lengths of its
+    chains."""
     diagram = ct.diagram
+    n = diagram.n
     nilradical = diagram.nilradical_positions()
     dim_m = len(nilradical)
     g = len(neighbouring_pairs(diagram))
@@ -171,23 +151,36 @@ def tangent_dimension(ct: ComponentTableau, roots: ExcludedRootSet) -> Dimension
     if not len(successor) == len(predecessor) == len(ct.e_support):
         raise InternalConsistencyError("the one-matrix repeats a row or a column")
 
-    edges = []
-    for i in range(1, diagram.n + 1):
-        for j in range(i + 1, diagram.n + 1):
-            plus = (i, successor[j]) if j in successor else None
-            minus = (predecessor[i], j) if i in predecessor else None
-            edge = (plus if plus in nilradical else None, minus if minus in nilradical else None)
-            if edge != (None, None):
-                edges.append(edge)
+    parent: dict[Pos | None, Pos | None] = {None: None}  # None is the ground
+
+    def find(v: Pos | None) -> Pos | None:
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    rank_ne = 0
+    rows = [(i, j) for j in successor for i in range(1, j)] + [(i, j) for i in predecessor for j in range(i + 1, n + 1)]
+    for i, j in rows:
+        plus = (i, successor[j]) if j in successor else None
+        minus = (predecessor[i], j) if i in predecessor else None
+        a = find(plus if plus in nilradical else None)
+        b = find(minus if minus in nilradical else None)
+        if a != b:
+            parent[a] = b
+            rank_ne += 1
+
+    def rank_with(coords: frozenset[Pos]) -> int:
+        return rank_ne + len({find(v) for v in coords} | {find(None)}) - 1
 
     u_set, y_set = roots.u_support, ct.v_support
-    rank_ne = _forest_size(edges, frozenset())
-    rank_u_ne = len(u_set) + _forest_size(edges, u_set)
-    rank_ne_y = len(y_set) + _forest_size(edges, y_set)
-    rank_all = len(u_set | y_set) + _forest_size(edges, u_set | y_set)
+    rank_u_ne = rank_with(u_set)
+    rank_ne_y = rank_with(y_set)
+    rank_all = rank_with(u_set | y_set)
 
     chains = []
-    for start in range(1, diagram.n + 1):
+    for start in range(1, n + 1):
         if start not in predecessor:
             length = 1
             while start in successor:
@@ -226,10 +219,10 @@ def orbital_variety_test(
     ct: ComponentTableau,
     roots: ExcludedRootSet,
     rng: Random | None = None,
-    samples: int = 5,
 ) -> OrbitalReport:
     """Compare twice the saturation dimension with the generic conjugation
-    orbit dimension of the support space, sampled at random integer points.
+    orbit dimension of the support space, sampled at five random integer
+    points.
 
     Genericity is open, so the maximum over samples is trusted only when at
     least three samples attain it; anything else is reported inconclusive.
@@ -244,12 +237,12 @@ def orbital_variety_test(
         return OrbitalReport("trivial", 0, 0, (), closed)
     support = sorted(roots.u_support)
     dims = []
-    for _ in range(samples):
+    for _ in range(5):
         mat = [[0] * n for _ in range(n)]
         for i, j in support:
             mat[i - 1][j - 1] = rng.randrange(1, 1 << 31)
         dims.append(orbit_dimension(n, jordan_type(mat)))
-    best = max(dims) if dims else 0
+    best = max(dims)
     if dims.count(best) < 3:
         return OrbitalReport("inconclusive", None, saturation_dim, tuple(dims), closed)
     status = "orbital" if 2 * saturation_dim == best else "not_orbital"

@@ -22,10 +22,12 @@ t, and raises otherwise.
 A component tableau is its limit columns, its moves and its two labelled
 position sets; no line object and no neutral line is built.  Each move
 stars the positions (entry, j) for the original entries j it is joined to,
-the bottom ones of the column it enters.  Entries only move right, so an
-entry's trail stops in the rightmost column that holds it.  The entries
-whose trails stop in a column are labelled ``1`` against the original
-entries of the next column, top down and in order.
+the bottom ones of the column it enters.  Entries only move into the
+right-hand neighbouring column, so the columns holding an entry are a run
+that starts at its original column, and an entry's last copy is the one its
+right-hand neighbouring column does not hold.  The entries whose last copy
+is in a column are labelled ``1`` against the original entries of the next
+column, top down and in order.
 """
 
 from __future__ import annotations
@@ -118,27 +120,19 @@ class ComponentTableau:
 
 
 class _State:
-    __slots__ = ("cols", "right", "used", "moves")
+    __slots__ = ("cols", "used", "moves")
 
-    def __init__(self, cols, right, used, moves):
+    def __init__(self, cols, used, moves):
         self.cols: list[list[int]] = cols
-        self.right: dict[int, tuple[int, int]] = right
         self.used: set[NeighbouringPair] = used
         self.moves: list[Move] = moves
 
     @classmethod
     def initial(cls, diagram: Diagram) -> "_State":
-        cols = [list(col) for col in diagram.columns]
-        right = {entry: (c, r) for c, col in enumerate(cols) for r, entry in enumerate(col, 1)}
-        return cls(cols, right, set(), [])
+        return cls([list(col) for col in diagram.columns], set(), [])
 
     def clone(self) -> "_State":
-        return _State(
-            [list(col) for col in self.cols],
-            dict(self.right),
-            set(self.used),
-            list(self.moves),
-        )
+        return _State([list(col) for col in self.cols], set(self.used), list(self.moves))
 
 
 def _candidates(diagram: Diagram, state: _State, stage: int) -> list[Move]:
@@ -150,7 +144,7 @@ def _candidates(diagram: Diagram, state: _State, stage: int) -> list[Move]:
         h0 = diagram.height(target)
         for row in range(1, min(stage, len(state.cols[src])) + 1):
             entry = state.cols[src][row - 1]
-            if state.right[entry] != (src, row):
+            if entry in state.cols[target]:
                 continue
             if row < stage and h0 != stage:
                 # multi-row descents may only enter untouched columns
@@ -192,7 +186,6 @@ def _subsets(moves: list[Move], forced: set[NeighbouringPair]):
 def _apply(state: _State, subset: list[Move]) -> None:
     for move in subset:
         state.cols[move.target_col].append(move.entry)
-        state.right[move.entry] = (move.target_col, move.stage + 1)
         state.used.update(move.pairs)
         state.moves.append(move)
 
@@ -205,11 +198,8 @@ def _translate(state: _State, stage: int) -> bool:
         if len(state.cols[c]) < row:
             continue
         entry = state.cols[c][row - 1]
-        if state.right[entry] != (c, row):
-            continue
-        if len(state.cols[c + 1]) == row - 1:
+        if len(state.cols[c + 1]) == row - 1 and entry not in state.cols[c + 1]:
             state.cols[c + 1].append(entry)
-            state.right[entry] = (c + 1, row)
             changed = True
     return changed
 
@@ -259,23 +249,20 @@ def extend_all(diagram: Diagram) -> tuple[tuple[Columns, tuple[Move, ...]], ...]
 
 def collapse(diagram: Diagram, columns: Columns, moves: tuple[Move, ...]) -> ComponentTableau:
     """The component tableau of a limit tableau.  Each move stars (entry, j)
-    for its star targets j; the entries stopping in column c, top down, are
-    labelled ``1`` against the original entries of column c+1, in order.
-    Raises when an entry repeats within a column, a position leaves the
-    nilradical, carries both labels, an entry finds no endpoint left, or the
-    stars miscount the pairs."""
-    stops: dict[int, tuple[int, int]] = {}  # each entry's rightmost box
-    for c, col in enumerate(columns):
-        for r, entry in enumerate(col, start=1):
-            if entry in stops and stops[entry][0] == c:
-                raise ConstructionViolation(f"entry {entry} repeats within a column")
-            stops[entry] = (c, r)
+    for its star targets j; the entries of column c that column c+1 does not
+    hold, top down, are labelled ``1`` against the original entries of column
+    c+1, in order.  Raises when an entry repeats within a column, a position
+    leaves the nilradical, carries both labels, an entry finds no endpoint
+    left, or the stars miscount the pairs."""
+    for c, col in enumerate(columns, start=1):
+        if len(set(col)) != len(col):
+            raise ConstructionViolation(f"an entry repeats within a column (column {c})")
     stars = [(move.entry, j) for move in moves for j in move.star_targets]
     ones = []
     for c in range(diagram.k - 1):
         targets = iter(diagram.columns[c + 1])
-        for r, entry in enumerate(columns[c], start=1):
-            if stops[entry] != (c, r):
+        for entry in columns[c]:
+            if entry in columns[c + 1]:
                 continue
             target = next(targets, None)
             if target is None:

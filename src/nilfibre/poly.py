@@ -112,10 +112,6 @@ class Poly:
             return self.terms[()]
         raise InvalidInput("polynomial is not constant")
 
-    def monomial_support(self) -> frozenset[frozenset[Pos]]:
-        """Position sets of the monomials."""
-        return frozenset(frozenset(vars_) for vars_ in self.terms)
-
     def total_degrees(self) -> set[int]:
         return {len(vars_) for vars_ in self.terms}
 

@@ -134,7 +134,6 @@ class GeneratorExclusions:
 
 @dataclass(frozen=True)
 class ExcludedRootSet:
-    diagram: Diagram
     by_generator: tuple[GeneratorExclusions, ...]
     excluded: frozenset[Pos]  # union over generators
     u_support: frozenset[Pos]  # nilradical minus excluded
@@ -179,12 +178,7 @@ def excluded_roots(ct: ComponentTableau) -> ExcludedRootSet:
         for m in ct.moves
     )
     union = frozenset(p for g in gens for p in g.all)
-    return ExcludedRootSet(
-        diagram,
-        gens,
-        union,
-        diagram.nilradical_positions() - union,
-    )
+    return ExcludedRootSet(gens, union, diagram.nilradical_positions() - union)
 
 
 def bracket_closure_violations(diagram: Diagram, support: frozenset[Pos]) -> list[tuple[Pos, Pos, Pos]]:

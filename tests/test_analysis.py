@@ -153,7 +153,7 @@ def test_tangent_ranks_match_stacked_route():
             cases = [(ct, roots), (replace(ct, v_support=nilradical), roots)]
             if roots.excluded:
                 smaller = roots.excluded - {min(roots.excluded)}
-                trimmed = ExcludedRootSet(ct.diagram, roots.by_generator, smaller, nilradical - smaller)
+                trimmed = ExcludedRootSet(roots.by_generator, smaller, nilradical - smaller)
                 cases.append((ct, trimmed))
             if ct.v_support and roots.u_support:
                 moved = ct.v_support - {min(ct.v_support)} | {min(roots.u_support)}

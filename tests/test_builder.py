@@ -245,6 +245,23 @@ def test_extended_column_entries_distinct(parts):
             assert len(set(col)) == len(col)
 
 
+def test_each_entry_holds_a_run_of_columns_from_its_own():
+    # entries only move into the right-hand neighbouring column, so the
+    # columns holding an entry are consecutive and start at its original
+    # column; the search and collapse take an entry's copy in column c as
+    # its last exactly when column c + 1 does not hold it
+    checked = 0
+    for n in range(1, 10):
+        for parts in compositions_of(n):
+            diagram = diagram_of(parts)
+            for columns, _ in extend_all(diagram):
+                for entry in range(1, n + 1):
+                    held = [c for c, col in enumerate(columns) if entry in col]
+                    assert held == list(range(diagram.column_of(entry), held[-1] + 1)), (parts, columns, entry)
+                checked += 1
+    assert checked == 678
+
+
 def test_free_pair_always_has_choice():
     # observation honoured on every composition up to n = 6; every
     # enumeration raises if a free pair has no move at its own stage

@@ -316,9 +316,10 @@ def test_sweep_reports_match_the_digest_ledger(tmp_path, monkeypatch):
 
 
 def test_enumerate_outputs_match_the_digest_ledger(tmp_path):
-    # enumerate_sha256.txt holds, for each n <= 10 and each format, the sha256
+    # enumerate_sha256.txt holds, for each n <= 11 and each format, the sha256
     # of the "enumerate --composition C --format F" outputs of every
-    # composition C of n, concatenated in cut-set order
+    # composition C of n, concatenated in cut-set order; n <= 10 is
+    # regenerated here and n = 11 is left to CI
     import hashlib
 
     from nilfibre.conformance import compositions_of
@@ -333,9 +334,10 @@ def test_enumerate_outputs_match_the_digest_ledger(tmp_path):
                 assert main(["enumerate", "--composition", comp, "--format", fmt, "--out", str(out)]) == 0
                 digest.update(out.read_bytes())
             digests[f"n{n}.{fmt}"] = digest.hexdigest()
-    ledger = (GOLDEN / "enumerate_sha256.txt").read_text().splitlines()
-    assert len(ledger) == 30
-    assert {name: digest for digest, name in (line.split("  ") for line in ledger)} == digests
+    ledger = (line.split("  ") for line in (GOLDEN / "enumerate_sha256.txt").read_text().splitlines())
+    checked = {name: digest for digest, name in ledger if not name.startswith("n11.")}
+    assert len(checked) == 30
+    assert checked == digests
 
 
 def test_invariant_disk_cache(tmp_path, monkeypatch):
@@ -514,7 +516,7 @@ def test_verify_inconclusive_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(
         conformance,
         "orbital_variety_test",
-        lambda ct, roots, rng=None, samples=5: OrbitalReport("inconclusive", None, 0, (1, 2, 3), False),
+        lambda ct, roots, rng=None: OrbitalReport("inconclusive", None, 0, (1, 2, 3), False),
     )
     code = main(["verify", "--composition", "2,1,1,2", "--checks", "orbital", "--out", str(tmp_path / "r.json")])
     assert code == 3
