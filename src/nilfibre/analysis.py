@@ -215,6 +215,15 @@ class OrbitalReport:
         }
 
 
+def _sample_entry(rng: Random) -> int:
+    """``rng.randrange(1, 1 << 31)`` as CPython draws it: one plus 31 random
+    bits, redrawn while all ones.  Python keeps the ``getrandbits`` stream
+    across versions, but not ``randrange``'s algorithm."""
+    while (bits := rng.getrandbits(31)) == (1 << 31) - 1:
+        pass
+    return 1 + bits
+
+
 def orbital_variety_test(
     ct: ComponentTableau,
     roots: ExcludedRootSet,
@@ -240,7 +249,7 @@ def orbital_variety_test(
     for _ in range(5):
         mat = [[0] * n for _ in range(n)]
         for i, j in support:
-            mat[i - 1][j - 1] = rng.randrange(1, 1 << 31)
+            mat[i - 1][j - 1] = _sample_entry(rng)
         dims.append(orbit_dimension(n, jordan_type(mat)))
     best = max(dims)
     if dims.count(best) < 3:

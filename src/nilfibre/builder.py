@@ -190,18 +190,15 @@ def _apply(state: _State, subset: list[Move]) -> None:
         state.moves.append(move)
 
 
-def _translate(state: _State, stage: int) -> bool:
+def _translate(state: _State, stage: int) -> None:
     """Slide row stage+1 entries rightward into first-empty boxes; left to right."""
     row = stage + 1
-    changed = False
     for c in range(len(state.cols) - 1):
         if len(state.cols[c]) < row:
             continue
         entry = state.cols[c][row - 1]
         if len(state.cols[c + 1]) == row - 1 and entry not in state.cols[c + 1]:
             state.cols[c + 1].append(entry)
-            changed = True
-    return changed
 
 
 def extend_all(diagram: Diagram) -> tuple[tuple[Columns, tuple[Move, ...]], ...]:

@@ -29,18 +29,49 @@ EXIT_VIOLATION = 2
 EXIT_INCONCLUSIVE = 3
 
 
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def _dump(handle: TextIO, payload, margin: str = "") -> None:
+    """Write ``_ENCODER.encode(payload)``, each line after the first prefixed
+    by ``margin``, a few thousand encoder chunks at a time, so the whole text
+    is never held.  A JSON string holds no raw newline, so the margin can be
+    applied batch by batch."""
+    chunks = _ENCODER.iterencode(payload)
+    while batch := "".join(itertools.islice(chunks, 4096)):
+        handle.write(batch.replace("\n", "\n" + margin) if margin else batch)
+
+
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """A file written under a temporary name beside ``path``, which becomes
+    ``path`` only once the block completes; on an error it is removed.  It
+    is opened by ``open``, not ``mkstemp`` as cache entries are, so an output
+    gets the mode the user's umask gives, not 0600."""
+    partial = f"{path}.partial"
+    try:
+        with open(partial, "w") as handle:
+            yield handle
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
+
+
+def _output(out: str | None) -> contextlib.AbstractContextManager[TextIO]:
+    return _replacing(out) if out else contextlib.nullcontext(sys.stdout)
+
+
 def _write(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    with _output(out) as handle:
+        handle.write(text)
 
 
-def _dump(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write_json(payload, out: str | None) -> None:
+    with _output(out) as handle:
+        _dump(handle, payload)
+        handle.write("\n")
 
 
 def cmd_enumerate(args) -> int:
@@ -59,7 +90,7 @@ def cmd_enumerate(args) -> int:
                 for ct in tableaux
             ],
         }
-        _write(_dump(payload), args.out)
+        _write_json(payload, args.out)
     elif args.format == "latex":
         blocks = []
         for idx, ct in enumerate(tableaux):
@@ -98,7 +129,7 @@ def cmd_verify(args) -> int:
     started = time.monotonic()
     report = verify_composition(composition, checks, seed=args.seed)
     print(f"verify {composition}: {time.monotonic() - started:.2f}s", file=sys.stderr)
-    _write(_dump(report), args.out)
+    _write_json(report, args.out)
     if not report["pass"]:
         return EXIT_VIOLATION
     if report["inconclusive"]:
@@ -106,35 +137,19 @@ def cmd_verify(args) -> int:
     return EXIT_PASS
 
 
-@contextlib.contextmanager
-def _replacing(path: str) -> Iterator[TextIO]:
-    """A file written under a temporary name beside ``path``, which becomes
-    ``path`` only once the block completes; on an error it is removed.  It
-    is opened by ``open``, not ``mkstemp`` as cache entries are, so a report
-    gets the mode the user's umask gives, not 0600."""
-    partial = f"{path}.partial"
-    try:
-        with open(partial, "w") as handle:
-            yield handle
-        os.replace(partial, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(partial)
-        raise
-
-
 def _dump_reports(handle: TextIO, head: dict, reports: Iterator[dict], tail: Callable[[], dict]) -> None:
-    """Write ``_dump({**head, "reports": list(reports), **tail()})`` one report
-    at a time, so no list of reports and no whole text is held.  Under
+    """Write what ``_write_json({**head, "reports": list(reports), **tail()})``
+    writes, one report at a time, so no list of reports is held.  Under
     ``sort_keys`` the head's keys must sort before "reports" and the tail's
     after it, and ``reports`` must not be empty; ``tail`` is called once the
     reports are exhausted."""
-    handle.write(_dump(head)[:-3] + ',\n  "reports": [\n    ')
+    handle.write(_ENCODER.encode(head)[:-2] + ',\n  "reports": [\n    ')
     separator = ""
     for report in reports:
-        handle.write(separator + _dump(report)[:-1].replace("\n", "\n    "))
+        handle.write(separator)
+        _dump(handle, report, "    ")
         separator = ",\n    "
-    handle.write("\n  ],\n" + _dump(tail())[2:])
+    handle.write("\n  ],\n" + _ENCODER.encode(tail())[2:] + "\n")
 
 
 def cmd_sweep(args) -> int:
@@ -183,10 +198,9 @@ def cmd_sweep(args) -> int:
         "inconclusive": inconclusive,
     }
     if args.out:
-        with _replacing(os.path.join(args.out, "summary.json")) as handle:
-            handle.write(_dump(summary))
+        _write_json(summary, os.path.join(args.out, "summary.json"))
     else:
-        _write(_dump({**summary, "perN": per_n}), None)
+        _write_json({**summary, "perN": per_n}, None)
     if failures:
         return EXIT_VIOLATION
     if inconclusive:

@@ -21,17 +21,18 @@ def row_basis(rows: list[list[int]]) -> list[list[int]]:
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
         pivot = work[rank][col]
+        # below the pivot, every row is zero up to its column once eliminated
+        head = [0] * (col + 1)
+        pivot_tail = work[rank][col + 1 :]
         for r in range(rank + 1, len(work)):
             factor = work[r][col]
             if factor == 0:
                 continue
-            row = [pivot * a - factor * b for a, b in zip(work[r], work[rank])]
-            g = 0
-            for a in row:
-                g = gcd(g, a)
+            tail = [pivot * a - factor * b for a, b in zip(work[r][col + 1 :], pivot_tail)]
+            g = gcd(*tail)
             if g > 1:
-                row = [a // g for a in row]
-            work[r] = row
+                tail = [a // g for a in tail]
+            work[r] = head + tail
         rank += 1
         col += 1
     return work[:rank]

@@ -295,6 +295,26 @@ def test_orbital_trivial():
     assert orbital_variety_test(ct, excluded_roots(ct), rng=Random(0)).status == "trivial"
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, "0:orbital:3:2,1,2,1"])
+def test_sample_entries_are_the_randrange_stream(seed):
+    drawn, reference = Random(seed), Random(seed)
+    for _ in range(10_000):
+        assert analysis._sample_entry(drawn) == reference.randrange(1, 1 << 31)
+
+
+def test_sample_entry_redraws_all_ones():
+    class FirstAllOnes(Random):
+        first = True
+
+        def getrandbits(self, k):
+            if self.first:
+                self.first = False
+                return (1 << k) - 1
+            return super().getrandbits(k)
+
+    assert analysis._sample_entry(FirstAllOnes(5)) == 1 + Random(5).getrandbits(31)
+
+
 def witness_of(a, b):
     # the injectivity witness from the two tableaux's own check results
     return injectivity_witness(

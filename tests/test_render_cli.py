@@ -196,6 +196,111 @@ def test_reports_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+WRITER_PAYLOADS = {
+    "empty containers": {"a": {}, "b": [], "c": [{}, [[]], {"d": {"e": []}}]},
+    "newline and non-ASCII": {"text": "two\nlines", "greek": "\u03b1\u03b2 \u2014 caf\u00e9", "list": ["x\ny", 3]},
+    "more than one batch": {"rows": [{"index": i, "label": str(i) * 3} for i in range(3000)]},
+}
+
+
+@pytest.mark.parametrize("payload", list(WRITER_PAYLOADS.values()), ids=list(WRITER_PAYLOADS))
+def test_json_writer_bytes(payload, tmp_path):
+    import io
+
+    from nilfibre import cli
+
+    text = cli._ENCODER.encode(payload)
+    assert text == json.dumps(payload, indent=2, sort_keys=True)
+    for margin in ("", "    "):
+        handle = io.StringIO()
+        cli._dump(handle, payload, margin)
+        assert handle.getvalue() == text.replace("\n", "\n" + margin)
+    cli._write_json(payload, str(tmp_path / "out.json"))
+    assert (tmp_path / "out.json").read_text() == text + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def poisoned_verify(monkeypatch):
+    # verify_composition whose report ends in a value JSON cannot encode,
+    # after more than one batch of chunks
+    from nilfibre import cli
+
+    verify = cli.verify_composition
+
+    def poisoned(*args, **kwargs):
+        report = verify(*args, **kwargs)
+        assert sum(1 for _ in cli._ENCODER.iterencode(report)) > 4096
+        return {**report, "~": object()}
+
+    monkeypatch.setattr(cli, "verify_composition", poisoned)
+
+
+def poisoned_excluded_roots(monkeypatch):
+    # excluded_roots whose JSON for the last tableau of 2,1,2,1,2,1,2,1
+    # ends in a value JSON cannot encode
+    from types import SimpleNamespace
+
+    from nilfibre import cli
+
+    last = len(component_tableaux((2, 1, 2, 1, 2, 1, 2, 1)))
+    calls = []
+
+    def poisoned(ct):
+        roots = excluded_roots(ct)
+        calls.append(ct)
+        if len(calls) < last:
+            return roots
+        return SimpleNamespace(to_json=lambda: {**roots.to_json(), "~": object()})
+
+    monkeypatch.setattr(cli, "excluded_roots", poisoned)
+
+
+@pytest.mark.parametrize("previous", [None, "previous report\n"])
+@pytest.mark.parametrize(
+    "poison, argv",
+    [
+        (poisoned_verify, ["verify", "--composition", "1,2,1,2,1,2,1", "--checks", "all"]),
+        (poisoned_excluded_roots, ["enumerate", "--composition", "2,1,2,1,2,1,2,1", "--format", "json"]),
+    ],
+    ids=["verify", "enumerate"],
+)
+def test_out_is_replaced_only_by_a_complete_report(poison, argv, previous, tmp_path, monkeypatch):
+    out = tmp_path / "report.json"
+    if previous is not None:
+        out.write_text(previous)
+    poison(monkeypatch)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        main(argv + ["--out", str(out)])
+    assert (out.read_text() if out.exists() else None) == previous
+    assert not (tmp_path / "report.json.partial").exists()
+
+
+def test_verify_writes_its_report_without_holding_the_text(tmp_path, monkeypatch):
+    # a ~2 MB synthetic report: while it is written, no more than a quarter
+    # of its text is held at once
+    import tracemalloc
+
+    from nilfibre import cli
+
+    report = {
+        "inconclusive": False,
+        "pass": True,
+        "rows": [{"index": i, "label": f"row {i:06d} " * 4, "values": [i, -i]} for i in range(12_000)],
+    }
+    monkeypatch.setattr(cli, "verify_composition", lambda *args, **kwargs: report)
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--composition", "1,2,1", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert 1_800_000 < size < 2_500_000
+    assert out.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert peak < size / 4
+
+
 def test_sweep_counts(capsys):
     code = main(["sweep", "--n", "3", "--checks", "vanishing"])
     assert code == 0
