@@ -26,7 +26,6 @@ from .roots import (
     excluded_from_word,
     excluded_roots,
     hatted_tableau,
-    penetrating_string,
     shifted_tableau,
     special_star_line,
     word_form,

@@ -69,8 +69,9 @@ class ComponentTableau:
     built it, and its two labelled position sets, the ``1``-positions
     ``e_support`` (the point e) and the ``*``-positions ``v_support``
     (spanning the Weierstrass section).  No position carries both labels, so
-    the two sets fix the labelled lines.  The pair-to-entry table is built
-    once, at construction; it takes no part in equality, hashing or repr."""
+    the two sets fix the labelled lines.  The pair-to-entry and pair-to-trail
+    tables are built once, at construction; they take no part in equality,
+    hashing or repr."""
 
     diagram: Diagram
     columns: Columns
@@ -78,19 +79,39 @@ class ComponentTableau:
     e_support: frozenset[Pos]
     v_support: frozenset[Pos]
     _pair_entry: dict[NeighbouringPair, int] = field(init=False, repr=False, compare=False)
+    _trail: dict[NeighbouringPair, tuple[Move, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # A pair's trail is its consuming entry's moves up to and including
+        # the consuming one: earlier moves left the entry above the pair.
         table: dict[NeighbouringPair, int] = {}
+        trails: dict[NeighbouringPair, tuple[Move, ...]] = {}
+        walked: dict[int, tuple[Move, ...]] = {}
         for move in self.moves:
+            entry = move.entry
+            trail = walked[entry] = walked.get(entry, ()) + (move,)
+            col, row = self.diagram.box_of(entry)
             for pair in move.pairs:
                 if pair in table:
                     raise ConstructionViolation(f"pair {pair} consumed twice")
-                table[pair] = move.entry
+                if not (pair.left <= col < pair.right and row <= pair.height):
+                    raise ConstructionViolation(f"trail of {entry} does not start inside the rectangle of {pair}")
+                if not (pair.left < move.target_col <= pair.right):
+                    raise ConstructionViolation(f"penetration of {entry} lands outside ]C,C'] of {pair}")
+                table[pair] = entry
+                trails[pair] = trail
         object.__setattr__(self, "_pair_entry", table)
+        object.__setattr__(self, "_trail", trails)
 
     def pair_entry(self) -> dict[NeighbouringPair, int]:
         """Which entry consumed each neighbouring pair."""
         return self._pair_entry
+
+    def trail(self, pair: NeighbouringPair) -> tuple[Move, ...]:
+        """The penetrating trail of ``pair``: the consuming entry's moves up
+        to and including the one that consumed it.  It lands in row
+        ``trail[-1].stage + 1``."""
+        return self._trail[pair]
 
     def lines(self) -> list[tuple[str, int, int]]:
         """The labelled lines as sorted (label, i, j) triples, stars first."""
@@ -119,32 +140,16 @@ class ComponentTableau:
         }
 
 
-class _State:
-    __slots__ = ("cols", "used", "moves")
-
-    def __init__(self, cols, used, moves):
-        self.cols: list[list[int]] = cols
-        self.used: set[NeighbouringPair] = used
-        self.moves: list[Move] = moves
-
-    @classmethod
-    def initial(cls, diagram: Diagram) -> "_State":
-        return cls([list(col) for col in diagram.columns], set(), [])
-
-    def clone(self) -> "_State":
-        return _State([list(col) for col in self.cols], set(self.used), list(self.moves))
-
-
-def _candidates(diagram: Diagram, state: _State, stage: int) -> list[Move]:
+def _candidates(diagram: Diagram, cols: list[list[int]], used: frozenset[NeighbouringPair], stage: int) -> list[Move]:
     moves = []
     for src in range(diagram.k - 1):
         target = src + 1
-        if len(state.cols[target]) != stage:
+        if len(cols[target]) != stage:
             continue
         h0 = diagram.height(target)
-        for row in range(1, min(stage, len(state.cols[src])) + 1):
-            entry = state.cols[src][row - 1]
-            if entry in state.cols[target]:
+        for row in range(1, min(stage, len(cols[src])) + 1):
+            entry = cols[src][row - 1]
+            if entry in cols[target]:
                 continue
             if row < stage and h0 != stage:
                 # multi-row descents may only enter untouched columns
@@ -152,7 +157,7 @@ def _candidates(diagram: Diagram, state: _State, stage: int) -> list[Move]:
             consumed = []
             for s in range(row, stage + 1):
                 pair = surrounding_pair(diagram, s, src)
-                if pair is None or pair in state.used:
+                if pair is None or pair in used:
                     consumed = None
                     break
                 consumed.append(pair)
@@ -183,22 +188,15 @@ def _subsets(moves: list[Move], forced: set[NeighbouringPair]):
     yield from rec(0, [], set(), set())
 
 
-def _apply(state: _State, subset: list[Move]) -> None:
-    for move in subset:
-        state.cols[move.target_col].append(move.entry)
-        state.used.update(move.pairs)
-        state.moves.append(move)
-
-
-def _translate(state: _State, stage: int) -> None:
+def _translate(cols: list[list[int]], stage: int) -> None:
     """Slide row stage+1 entries rightward into first-empty boxes; left to right."""
     row = stage + 1
-    for c in range(len(state.cols) - 1):
-        if len(state.cols[c]) < row:
+    for c in range(len(cols) - 1):
+        if len(cols[c]) < row:
             continue
-        entry = state.cols[c][row - 1]
-        if len(state.cols[c + 1]) == row - 1 and entry not in state.cols[c + 1]:
-            state.cols[c + 1].append(entry)
+        entry = cols[c][row - 1]
+        if len(cols[c + 1]) == row - 1 and entry not in cols[c + 1]:
+            cols[c + 1].append(entry)
 
 
 def extend_all(diagram: Diagram) -> tuple[tuple[Columns, tuple[Move, ...]], ...]:
@@ -221,26 +219,28 @@ def extend_all(diagram: Diagram) -> tuple[tuple[Columns, tuple[Move, ...]], ...]
     hard_cap = max_height + len(all_pairs) + 2
     results = []
 
-    def run(state: _State, stage: int) -> None:
+    def run(cols: list[list[int]], used: frozenset[NeighbouringPair], moves: tuple[Move, ...], stage: int) -> None:
         if stage > hard_cap:
             raise ConstructionViolation("stage cap exceeded; stabilization failed")
-        candidates = _candidates(diagram, state, stage)
+        candidates = _candidates(diagram, cols, used, stage)
         usable = {p for m in candidates for p in m.pairs}
         for pair in pairs:
-            if pair.height == stage and pair not in state.used and pair not in usable:
+            if pair.height == stage and pair not in used and pair not in usable:
                 raise ConstructionViolation(f"free pair {pair} has no admissible choice at its own stage")
-        forced = {p for p in pairs if reach[p] <= stage and p not in state.used}
+        forced = {p for p in pairs if reach[p] <= stage and p not in used}
         for subset in _subsets(candidates, forced):
-            branch = state.clone()
-            _apply(branch, subset)
+            branch = [list(col) for col in cols]
+            for move in subset:
+                branch[move.target_col].append(move.entry)
             _translate(branch, stage)
+            taken = used.union(*(m.pairs for m in subset))
             if not subset and stage >= max_height:
-                if branch.used == all_pairs:
-                    results.append((tuple(tuple(col) for col in branch.cols), tuple(branch.moves)))
+                if taken == all_pairs:
+                    results.append((tuple(tuple(col) for col in branch), moves))
             else:
-                run(branch, stage + 1)
+                run(branch, taken, moves + tuple(subset), stage + 1)
 
-    run(_State.initial(diagram), 1)
+    run([list(col) for col in diagram.columns], frozenset(), (), 1)
     return tuple(results)
 
 

@@ -52,7 +52,7 @@ from .core import (
 )
 from .builder import ComponentTableau
 from .poly import Poly
-from .roots import ExcludedRootSet, penetrating_string, special_star_line, trail_exclusions
+from .roots import ExcludedRootSet, special_star_line, trail_exclusions
 
 # The largest interval whose generator the restrictions expand; past it they
 # read restricted minors, which are slower on small intervals.
@@ -574,7 +574,7 @@ def vanishing_check(ct: ComponentTableau, roots: ExcludedRootSet) -> VanishingRe
     diagram = ct.diagram
     results = []
     for pair in neighbouring_pairs(diagram):
-        specific = trail_exclusions(roots, penetrating_string(ct, pair))
+        specific = trail_exclusions(roots, ct.trail(pair))
         expanded = _expanded(diagram, pair)
         g_wit, s_wit = (
             None if least is None else least[0] if expanded else ("nonzero evaluation",)

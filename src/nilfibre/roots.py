@@ -9,10 +9,11 @@ permutation word; a nilradical position (i', j') is excluded when i' occurs
 after j' in that word.  Exclusions whose larger entry lies in the j-list are
 primary, the rest secondary.
 
-The penetrating trail of a neighbouring pair is the trail of the entry that
-consumed the pair; its lowering events, kept up to and including the first
-landing below the pair's height, drive both the specific-vanishing set and
-the amalgamated (hatted) tableau whose degree drops by exactly one.
+The penetrating trail of a neighbouring pair, fixed when its tableau is built
+(``ComponentTableau.trail``), is the consuming entry's moves up to and
+including the one that consumed the pair; it lands in the row below that
+move's stage.  Its steps drive both the specific-vanishing set and the
+amalgamated (hatted) tableau whose degree drops by exactly one.
 """
 
 from __future__ import annotations
@@ -217,43 +218,10 @@ def levi_lowering_violations(diagram: Diagram, support: frozenset[Pos]) -> list[
     return bad
 
 
-@dataclass(frozen=True)
-class PenetrationRecord:
-    pair: NeighbouringPair
-    entry: int
-    steps: tuple[Move, ...]  # lowering events up to and including penetration
-    landing_row: int  # first row below the band that the trail reaches
-
-
-def penetrating_string(ct: ComponentTableau, pair: NeighbouringPair) -> PenetrationRecord:
-    """The unique trail that consumed ``pair``, halted just after it first
-    drops below the pair's height."""
-    entry = ct.pair_entry()[pair]
-    box = ct.diagram.box_of(entry)
-    if not (pair.left <= box[0] < pair.right and box[1] <= pair.height):
-        raise ConstructionViolation(
-            f"trail of {entry} does not start inside the rectangle of {pair}"
-        )
-    steps = []
-    landing = None
-    for move in ct.moves:
-        if move.entry != entry:
-            continue
-        steps.append(move)
-        if move.stage >= pair.height:
-            landing = move.stage + 1
-            break
-    if landing is None:
-        raise ConstructionViolation(f"trail of {entry} never penetrates below row {pair.height}")
-    if not (pair.left < steps[-1].target_col <= pair.right):
-        raise ConstructionViolation(f"penetration of {entry} lands outside ]C,C'] of {pair}")
-    return PenetrationRecord(pair, entry, tuple(steps), landing)
-
-
-def trail_exclusions(roots: ExcludedRootSet, record: PenetrationRecord) -> frozenset[Pos]:
-    """Exclusions carried by the recorded steps of a trail only, read from
-    the tableau's per-move exclusions (one per (entry, target column))."""
-    steps = {(m.entry, m.target_col) for m in record.steps}
+def trail_exclusions(roots: ExcludedRootSet, trail: tuple[Move, ...]) -> frozenset[Pos]:
+    """Exclusions carried by the steps of a trail only, read from the
+    tableau's per-move exclusions (one per (entry, target column))."""
+    steps = {(m.entry, m.target_col) for m in trail}
     return frozenset(p for g in roots.by_generator if (g.entry, g.target_col) in steps for p in g.all)
 
 
@@ -261,11 +229,10 @@ def special_star_line(ct: ComponentTableau, pair: NeighbouringPair) -> Pos:
     """The one starred constituent of the disjoint composite-line family of
     ``pair``: from the penetrating entry to the box of the target column at
     row min(height, original height)."""
-    record = penetrating_string(ct, pair)
-    move = record.steps[-1]
+    move = ct.trail(pair)[-1]
     h0 = ct.diagram.height(move.target_col)
     j = ct.diagram.columns[move.target_col][min(pair.height, h0) - 1]
-    return (record.entry, j)
+    return (move.entry, j)
 
 
 @dataclass(frozen=True)
@@ -285,10 +252,11 @@ def hatted_tableau(ct: ComponentTableau, pair: NeighbouringPair) -> HattedTablea
     """Amalgamate the penetrating trail's partial columns below its entry and
     check the height ledger plus the degree drop."""
     diagram = ct.diagram
-    record = penetrating_string(ct, pair)
+    trail = ct.trail(pair)
+    entry = trail[0].entry
     cols = [list(col) for col in diagram.columns]
     stacked: list[int] = []
-    for move in record.steps:
+    for move in trail:
         m = len(move.star_targets)
         if tuple(cols[move.target_col][-m:]) != tuple(move.star_targets):
             raise InternalConsistencyError("star targets are not the column bottom")
@@ -296,18 +264,18 @@ def hatted_tableau(ct: ComponentTableau, pair: NeighbouringPair) -> HattedTablea
         stacked.extend(move.star_targets)
     if any(a >= b for a, b in zip(stacked, stacked[1:])):
         raise InternalConsistencyError("amalgamated column is not increasing downward")
-    anchor, leftmost, _ = _place_below(diagram, cols, record.entry, stacked)
+    anchor, leftmost, _ = _place_below(diagram, cols, entry, stacked)
 
     heights = [len(c) for c in cols]
-    f = diagram.row_of(record.entry)
+    f = diagram.row_of(entry)
     m_hat = len(stacked)
-    for move in record.steps:
+    for move in trail:
         expected = diagram.height(move.target_col) - len(move.star_targets)
         if move.target_col != anchor and heights[move.target_col] != expected:
             raise InternalConsistencyError("target column height off after removal")
     if heights[anchor] != diagram.height(leftmost) + m_hat:
         raise InternalConsistencyError("anchor height differs from base height plus stack")
-    if heights[anchor] != record.landing_row:
+    if heights[anchor] != trail[-1].stage + 1:
         raise InternalConsistencyError("anchor height differs from the penetration row")
     chain = [c for c in range(leftmost, anchor) if diagram.height(c) > f]
     for lower, upper in zip([leftmost] + chain, chain + [anchor]):
@@ -326,7 +294,7 @@ def hatted_tableau(ct: ComponentTableau, pair: NeighbouringPair) -> HattedTablea
     return HattedTableau(
         diagram,
         pair,
-        record.entry,
+        entry,
         tuple(tuple(c) for c in cols),
         tuple(stacked),
         virtual,

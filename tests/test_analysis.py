@@ -17,7 +17,7 @@ from nilfibre.analysis import (
     orbital_variety_test,
     tangent_dimension,
 )
-from nilfibre.builder import component_tableaux
+from nilfibre.builder import ComponentTableau, component_tableaux
 from nilfibre.conformance import compositions_of, verify_composition
 from nilfibre.core import Composition, InternalConsistencyError, InvalidInput, diagram_of, interval_entries, neighbouring_pairs
 from nilfibre.invariants import (
@@ -28,7 +28,7 @@ from nilfibre.invariants import (
     weierstrass_check,
 )
 from nilfibre.linalg import exact_rank
-from nilfibre.roots import ExcludedRootSet, excluded_roots, penetrating_string, special_star_line, trail_exclusions
+from nilfibre.roots import ExcludedRootSet, excluded_roots, special_star_line, trail_exclusions
 
 compositions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple)
 
@@ -379,12 +379,12 @@ def _recomputed_witness(a, b):
     bound."""
     d = a.diagram
     pair = next(p for p in neighbouring_pairs(d) if a.pair_entry()[p] != b.pair_entry()[p])
-    record_a, record_b = penetrating_string(a, pair), penetrating_string(b, pair)
-    if (record_a.steps[-1].target_col, a.pair_entry()[pair]) < (record_b.steps[-1].target_col, b.pair_entry()[pair]):
-        low, high, record = a, b, record_a
+    trail_a, trail_b = a.trail(pair), b.trail(pair)
+    if (trail_a[-1].target_col, a.pair_entry()[pair]) < (trail_b[-1].target_col, b.pair_entry()[pair]):
+        low, high, trail = a, b, trail_a
     else:
-        low, high, record = b, a, record_b
-    excluded = trail_exclusions(excluded_roots(low), record)
+        low, high, trail = b, a, trail_b
+    excluded = trail_exclusions(excluded_roots(low), trail)
     specific = invariant_for(d.parts, pair).polynomial.substitute({p: 0 for p in excluded}).is_zero()
     line_low, line_high = special_star_line(low, pair), special_star_line(high, pair)
     i_p, j_p = line_high
@@ -446,8 +446,9 @@ def test_injectivity_reads_results_and_recomputes_nothing(monkeypatch):
         raise AssertionError("injectivity recomputed a check's fact")
 
     for module in (analysis, roots, invariants):
-        for name in ("penetrating_string", "restricted_generator", "trail_exclusions", "special_star_line"):
+        for name in ("restricted_generator", "trail_exclusions", "special_star_line"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
+    monkeypatch.setattr(ComponentTableau, "trail", forbidden)
     for a, b in combinations(range(len(ts)), 2):
         w = injectivity_witness(ts[a], ts[b], vanishings[a], vanishings[b], sections[a], sections[b])
         assert w.ok, parts

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilfibre import builder
-from nilfibre.builder import ONE, collapse, component_tableaux, extend_all
+from nilfibre.builder import ONE, ComponentTableau, collapse, component_tableaux, extend_all
 from nilfibre.conformance import compositions_of
 from nilfibre.core import ConstructionViolation, diagram_of, neighbouring_pairs
 from nilfibre.roots import excluded_roots
@@ -72,10 +72,10 @@ def test_search_skips_stranding_branches(monkeypatch):
     calls = 0
     candidates = builder._candidates
 
-    def counted(diagram, state, stage):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return candidates(diagram, state, stage)
+        return candidates(*args)
 
     monkeypatch.setattr(builder, "_candidates", counted)
     for parts in compositions_of(10):
@@ -176,7 +176,7 @@ def test_every_pair_used_exactly_once(parts):
         assert sorted(map(str, used)) == sorted(map(str, neighbouring_pairs(ct.diagram)))
         assert len(set(used)) == len(used)
         # each entry's moves are listed in strictly increasing target column,
-        # as penetrating_string reads them
+        # as ComponentTableau builds their trails
         for entry in {m.entry for m in ct.moves}:
             targets = [m.target_col for m in ct.moves if m.entry == entry]
             assert targets == sorted(set(targets))
@@ -295,8 +295,56 @@ def test_collapse_rejects_a_faulty_limit_tableau(faulty, match):
         collapse(diagram, *faulty(columns, moves))
 
 
+def scanned_trail(ct, pair):
+    """The consuming entry's moves up to the first one whose stage reaches
+    the pair's height, and the row below that stage."""
+    entry = ct.pair_entry()[pair]
+    steps = []
+    for move in ct.moves:
+        if move.entry == entry:
+            steps.append(move)
+            if move.stage >= pair.height:
+                return tuple(steps), move.stage + 1
+    raise AssertionError(f"trail of {entry} never penetrates below row {pair.height}")
+
+
+def test_trails_match_a_scan_of_the_moves():
+    checked = 0
+    for n in range(1, 10):
+        for parts in compositions_of(n):
+            for ct in component_tableaux(parts):
+                for pair in neighbouring_pairs(ct.diagram):
+                    trail = ct.trail(pair)
+                    assert (trail, trail[-1].stage + 1) == scanned_trail(ct, pair), (parts, pair)
+                    checked += 1
+    assert checked == 1719
+
+
+def forged(parts, name, **changes):
+    """A tableau of ``parts`` rebuilt with the move that consumed the named
+    pair changed."""
+    ct = component_tableaux(parts)[0]
+    (pair,) = [p for p in neighbouring_pairs(ct.diagram) if str(p) == name]
+    moves = tuple(replace(m, **changes) if pair in m.pairs else m for m in ct.moves)
+    return lambda: ComponentTableau(ct.diagram, ct.columns, moves, ct.e_support, ct.v_support)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        # pair (C2,C3; s=1) of (2,1,1,2) consumed by entry 1, which starts in C1
+        pytest.param(forged((2, 1, 1, 2), "(C2,C3;s=1)", entry=1), r"trail of 1 does not start inside the rectangle of \(C2,C3;s=1\)", id="outside-the-rectangle"),
+        # the one move of (1,2,1) entering C1 instead of C2
+        pytest.param(forged((1, 2, 1), "(C1,C3;s=1)", target_col=0), r"lands outside \]C,C'\] of \(C1,C3;s=1\)", id="landing-outside"),
+    ],
+)
+def test_tableau_rejects_a_forged_trail(build, match):
+    with pytest.raises(ConstructionViolation, match=match):
+        build()
+
+
 def test_free_pair_without_a_move_raises(monkeypatch):
-    monkeypatch.setattr(builder, "_candidates", lambda diagram, state, stage: [])
+    monkeypatch.setattr(builder, "_candidates", lambda *args: [])
     with pytest.raises(ConstructionViolation, match="no admissible choice"):
         extend_all(diagram_of((1, 1)))
 

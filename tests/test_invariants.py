@@ -29,7 +29,7 @@ from nilfibre.invariants import (
     weierstrass_check,
 )
 from nilfibre.poly import Poly
-from nilfibre.roots import excluded_roots, penetrating_string, trail_exclusions
+from nilfibre.roots import excluded_roots, trail_exclusions
 
 compositions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple)
 
@@ -265,7 +265,6 @@ def test_exceptional_constituents_carry_exclusions(small_compositions):
 def test_max_height_fast_path(small_compositions):
     # pairs of maximal height within their interval vanish once the
     # penetrating trail's primary exclusions are zeroed
-    from nilfibre.roots import penetrating_string
     from nilfibre.roots import _generator_exclusions
 
     checked = 0
@@ -275,10 +274,9 @@ def test_max_height_fast_path(small_compositions):
             for pair in neighbouring_pairs(d):
                 if any(d.height(c) > pair.height for c in range(pair.left, pair.right + 1)):
                     continue
-                rec = penetrating_string(ct, pair)
                 primary = frozenset(
                     p
-                    for m in rec.steps
+                    for m in ct.trail(pair)
                     for p in _generator_exclusions(d, m.entry, m.star_targets, m.target_col).primary
                 )
                 reduced = invariant_for(parts, pair).polynomial.substitute({p: 0 for p in primary})
@@ -406,7 +404,7 @@ def test_matching_zero_test_matches_substitution(restricted_route):
         for ct in component_tableaux(parts):
             roots = excluded_roots(ct)
             for pair in pairs:
-                specific = trail_exclusions(roots, penetrating_string(ct, pair))
+                specific = trail_exclusions(roots, ct.trail(pair))
                 for kind, zeroed in enumerate((roots.excluded, specific, frozenset(), ct.e_support)):
                     least = _zero_test(d, pair, zeroed)
                     expected = min((m for m in chains[pair] if not m & zeroed), key=sorted, default=None)
@@ -482,7 +480,7 @@ def test_randomized_zero_matches_the_trial_loop():
         for ct in component_tableaux(parts):
             roots = excluded_roots(ct)
             for pair in neighbouring_pairs(d):
-                for zeroed in (roots.excluded, trail_exclusions(roots, penetrating_string(ct, pair)), frozenset()):
+                for zeroed in (roots.excluded, trail_exclusions(roots, ct.trail(pair)), frozenset()):
                     vanishes = _least_monomial(d, pair, zeroed) is None
                     assert vanishes == _trial_loop(d, pair, zeroed, rng), (parts, pair, zeroed)
                     outcomes.append(vanishes)
@@ -671,7 +669,7 @@ def test_each_zero_test_and_restriction_key_is_computed_once(monkeypatch, fresh_
             for ct in component_tableaux(parts):
                 roots = excluded_roots(ct)
                 for pair, (key, offset, cells) in variables.items():
-                    specific = trail_exclusions(roots, penetrating_string(ct, pair))
+                    specific = trail_exclusions(roots, ct.trail(pair))
                     for zeroed in (roots.excluded, specific):
                         zero_keys.add((key, _shift(zeroed & cells, offset)))
                     stars, ones = _shift(ct.v_support & cells, offset), _shift(ct.e_support & cells, offset)

@@ -19,7 +19,6 @@ from nilfibre.roots import (
     hatted_tableau,
     left_contribution_preserved,
     levi_lowering_violations,
-    penetrating_string,
     shifted_tableau,
     special_star_line,
     trail_exclusions,
@@ -139,20 +138,20 @@ def test_penetration_2121():
     pair = pair_of((2, 1, 2, 1), 1)
     shallow = by_stars((2, 1, 2, 1), {(4, 6), (2, 5)})
     deep = by_stars((2, 1, 2, 1), {(3, 4), (3, 5)})
-    rec1 = penetrating_string(shallow, pair)
-    rec2 = penetrating_string(deep, pair)
-    assert (rec1.entry, rec1.landing_row) == (4, 2)
-    assert (rec2.entry, rec2.landing_row) == (3, 3)
+    last1 = shallow.trail(pair)[-1]
+    last2 = deep.trail(pair)[-1]
+    assert (last1.entry, last1.stage + 1) == (4, 2)
+    assert (last2.entry, last2.stage + 1) == (3, 3)
 
 
 def test_penetration_212121():
     pair = pair_of((2, 1, 2, 1, 2, 1), 1)  # (C2, C4)
     for ct in component_tableaux((2, 1, 2, 1, 2, 1)):
-        rec = penetrating_string(ct, pair)
-        if rec.entry == 4:
-            assert rec.landing_row == 2
-        if rec.entry == 3:
-            assert rec.landing_row == 3
+        last = ct.trail(pair)[-1]
+        if last.entry == 4:
+            assert last.stage + 1 == 2
+        if last.entry == 3:
+            assert last.stage + 1 == 3
 
 
 def test_penetration_halting_excludes_later_steps():
@@ -162,7 +161,7 @@ def test_penetration_halting_excludes_later_steps():
     pair = pair_of(parts, 2)
     ct = next(t for t in component_tableaux(parts) if t.pair_entry()[pair] == 5)
     roots = excluded_roots(ct)
-    specific = trail_exclusions(roots, penetrating_string(ct, pair))
+    specific = trail_exclusions(roots, ct.trail(pair))
     assert specific == {(4, 8), (4, 9), (5, 8), (5, 9), (6, 8), (6, 9)}
     assert (7, 11) in roots.excluded
     assert (7, 11) not in specific
@@ -175,15 +174,15 @@ def test_trail_exclusions_match_rederived_steps():
         for ct in component_tableaux(parts):
             roots = excluded_roots(ct)
             for pair in neighbouring_pairs(ct.diagram):
-                rec = penetrating_string(ct, pair)
+                trail = ct.trail(pair)
                 rederived = frozenset(
                     p
-                    for m in rec.steps
+                    for m in trail
                     for p in roots_module._generator_exclusions(
                         ct.diagram, m.entry, m.star_targets, m.target_col
                     ).all
                 )
-                assert trail_exclusions(roots, rec) == rederived, (parts, pair)
+                assert trail_exclusions(roots, trail) == rederived, (parts, pair)
 
 
 def test_exclusions_derived_once_per_move(monkeypatch):
@@ -207,7 +206,7 @@ def test_specific_set_within_global(small_compositions):
         for ct in component_tableaux(parts):
             roots = excluded_roots(ct)
             for pair in neighbouring_pairs(ct.diagram):
-                assert trail_exclusions(roots, penetrating_string(ct, pair)) <= roots.excluded
+                assert trail_exclusions(roots, ct.trail(pair)) <= roots.excluded
 
 
 def test_hatted_13212():
@@ -236,7 +235,7 @@ def test_hatted_exclusions_union_of_steps(small_compositions):
         for ct in component_tableaux(parts):
             roots = excluded_roots(ct)
             for pair in neighbouring_pairs(ct.diagram):
-                specific = trail_exclusions(roots, penetrating_string(ct, pair))
+                specific = trail_exclusions(roots, ct.trail(pair))
                 ht = hatted_tableau(ct, pair)
                 assert excluded_from_word(ht.word(), ct.diagram) == specific, (parts, pair)
 
