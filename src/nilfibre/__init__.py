@@ -10,14 +10,12 @@ from .core import (
     InvalidInput,
     NeighbouringPair,
     boxes_below_band,
-    build_diagram,
     diagram_of,
     neighbouring_pairs,
     true_degree,
 )
 from .builder import (
     ComponentTableau,
-    collapse,
     component_tableaux,
     extend_all,
 )

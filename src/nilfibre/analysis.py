@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from random import Random
 
 from .core import (
-    Diagram,
     InternalConsistencyError,
     InvalidInput,
     NeighbouringPair,
@@ -17,7 +16,7 @@ from .core import (
     neighbouring_pairs,
 )
 from .builder import ComponentTableau
-from .invariants import VanishingReport, WeierstrassReport, _generator, _interval, _shift
+from .invariants import VanishingReport, WeierstrassReport
 from .linalg import exact_rank, row_basis
 from .roots import ExcludedRootSet, bracket_closure_violations
 
@@ -241,7 +240,7 @@ def orbital_variety_test(
     n = diagram.n
     g = len(neighbouring_pairs(diagram))
     saturation_dim = diagram.dim_nilradical - g
-    closed = not bracket_closure_violations(diagram, roots.excluded)
+    closed = not bracket_closure_violations(roots.excluded)
     if diagram.dim_nilradical == 0:
         return OrbitalReport("trivial", 0, 0, (), closed)
     support = sorted(roots.u_support)
@@ -353,15 +352,3 @@ def injectivity_witness(
         value,
     )
 
-
-def invariant_variable_disjointness(diagram: Diagram) -> bool:
-    """Whether the generators of the composition use pairwise disjoint sets of
-    coordinates (true for partition-shaped compositions)."""
-    seen: set[Pos] = set()
-    for pair in neighbouring_pairs(diagram):
-        key, offset = _interval(diagram, pair)
-        vars_ = frozenset(_shift(_generator(key).variables(), offset))
-        if seen & vars_:
-            return False
-        seen |= vars_
-    return True

@@ -19,15 +19,15 @@ every visited node, before the choices are made, the search checks that
 each free pair of height t can be consumed by some admissible move at stage
 t, and raises otherwise.
 
-A component tableau is its limit columns, its moves and its two labelled
-position sets; no line object and no neutral line is built.  Each move
-stars the positions (entry, j) for the original entries j it is joined to,
-the bottom ones of the column it enters.  Entries only move into the
-right-hand neighbouring column, so the columns holding an entry are a run
-that starts at its original column, and an entry's last copy is the one its
-right-hand neighbouring column does not hold.  The entries whose last copy
-is in a column are labelled ``1`` against the original entries of the next
-column, top down and in order.
+A component tableau is built from its limit columns and its moves alone;
+its constructor derives and checks the rest, and no line object is built.
+Each move stars the positions (entry, j) for the original entries j it is
+joined to, the bottom ones of the column it enters.  Entries only move into
+the right-hand neighbouring column, so the columns holding an entry are a
+run that starts at its original column, and an entry's last copy is the one
+its right-hand neighbouring column does not hold.  The entries whose last
+copy is in a column are labelled ``1`` against the original entries of the
+next column, top down and in order.
 """
 
 from __future__ import annotations
@@ -65,47 +65,71 @@ class Move:
 
 @dataclass(frozen=True)
 class ComponentTableau:
-    """A component tableau: its limit tableau ``columns``, the moves that
-    built it, and its two labelled position sets, the ``1``-positions
-    ``e_support`` (the point e) and the ``*``-positions ``v_support``
-    (spanning the Weierstrass section).  No position carries both labels, so
-    the two sets fix the labelled lines.  The pair-to-entry and pair-to-trail
-    tables are built once, at construction; they take no part in equality,
-    hashing or repr."""
+    """A component tableau, given by its limit tableau ``columns`` and the
+    moves that built it.  The constructor derives the ``1``-positions
+    ``e_support`` (the point e), the ``*``-positions ``v_support`` (spanning
+    the Weierstrass section) and each pair's trail, which take no part in
+    equality, hashing or repr.  It raises when a pair is consumed twice, a
+    trail starts outside its pair's rectangle or lands outside ]C, C'], an
+    entry repeats within a column, an entry finds no endpoint left, a
+    position leaves the nilradical or carries both labels, or the stars
+    miscount the pairs."""
 
     diagram: Diagram
     columns: Columns
     moves: tuple[Move, ...]
-    e_support: frozenset[Pos]
-    v_support: frozenset[Pos]
-    _pair_entry: dict[NeighbouringPair, int] = field(init=False, repr=False, compare=False)
+    e_support: frozenset[Pos] = field(init=False, repr=False, compare=False)
+    v_support: frozenset[Pos] = field(init=False, repr=False, compare=False)
     _trail: dict[NeighbouringPair, tuple[Move, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        diagram, columns = self.diagram, self.columns
         # A pair's trail is its consuming entry's moves up to and including
         # the consuming one: earlier moves left the entry above the pair.
-        table: dict[NeighbouringPair, int] = {}
         trails: dict[NeighbouringPair, tuple[Move, ...]] = {}
         walked: dict[int, tuple[Move, ...]] = {}
+        stars = []
         for move in self.moves:
             entry = move.entry
             trail = walked[entry] = walked.get(entry, ()) + (move,)
-            col, row = self.diagram.box_of(entry)
+            col, row = diagram.box_of(entry)
             for pair in move.pairs:
-                if pair in table:
+                if pair in trails:
                     raise ConstructionViolation(f"pair {pair} consumed twice")
                 if not (pair.left <= col < pair.right and row <= pair.height):
                     raise ConstructionViolation(f"trail of {entry} does not start inside the rectangle of {pair}")
                 if not (pair.left < move.target_col <= pair.right):
                     raise ConstructionViolation(f"penetration of {entry} lands outside ]C,C'] of {pair}")
-                table[pair] = entry
                 trails[pair] = trail
-        object.__setattr__(self, "_pair_entry", table)
+            stars += [(entry, j) for j in move.star_targets]
+        for c, col in enumerate(columns, start=1):
+            if len(set(col)) != len(col):
+                raise ConstructionViolation(f"an entry repeats within a column (column {c})")
+        ones = []
+        for c in range(diagram.k - 1):
+            targets = iter(diagram.columns[c + 1])
+            for entry in columns[c]:
+                if entry in columns[c + 1]:
+                    continue
+                target = next(targets, None)
+                if target is None:
+                    raise ConstructionViolation(f"no endpoint left in column {c + 2} for stopped entry {entry}")
+                ones.append((entry, target))
+        for pos in stars + ones:
+            if not diagram.in_nilradical(pos):
+                raise ConstructionViolation(f"line {pos} not in the nilradical")
+        e_support, v_support = frozenset(ones), frozenset(stars)
+        if e_support & v_support:
+            raise ConstructionViolation("a position carries both labels")
+        if len(v_support) != len(neighbouring_pairs(diagram)):
+            raise ConstructionViolation("star count differs from the neighbouring-pair count")
+        object.__setattr__(self, "e_support", e_support)
+        object.__setattr__(self, "v_support", v_support)
         object.__setattr__(self, "_trail", trails)
 
     def pair_entry(self) -> dict[NeighbouringPair, int]:
         """Which entry consumed each neighbouring pair."""
-        return self._pair_entry
+        return {pair: trail[-1].entry for pair, trail in self._trail.items()}
 
     def trail(self, pair: NeighbouringPair) -> tuple[Move, ...]:
         """The penetrating trail of ``pair``: the consuming entry's moves up
@@ -244,42 +268,7 @@ def extend_all(diagram: Diagram) -> tuple[tuple[Columns, tuple[Move, ...]], ...]
     return tuple(results)
 
 
-def collapse(diagram: Diagram, columns: Columns, moves: tuple[Move, ...]) -> ComponentTableau:
-    """The component tableau of a limit tableau.  Each move stars (entry, j)
-    for its star targets j; the entries of column c that column c+1 does not
-    hold, top down, are labelled ``1`` against the original entries of column
-    c+1, in order.  Raises when an entry repeats within a column, a position
-    leaves the nilradical, carries both labels, an entry finds no endpoint
-    left, or the stars miscount the pairs."""
-    for c, col in enumerate(columns, start=1):
-        if len(set(col)) != len(col):
-            raise ConstructionViolation(f"an entry repeats within a column (column {c})")
-    stars = [(move.entry, j) for move in moves for j in move.star_targets]
-    ones = []
-    for c in range(diagram.k - 1):
-        targets = iter(diagram.columns[c + 1])
-        for entry in columns[c]:
-            if entry in columns[c + 1]:
-                continue
-            target = next(targets, None)
-            if target is None:
-                raise ConstructionViolation(
-                    f"no endpoint left in column {c + 2} for stopped entry {entry}"
-                )
-            ones.append((entry, target))
-    for pos in stars + ones:
-        if not diagram.in_nilradical(pos):
-            raise ConstructionViolation(f"line {pos} not in the nilradical")
-    e_support = frozenset(ones)
-    v_support = frozenset(stars)
-    if e_support & v_support:
-        raise ConstructionViolation("a position carries both labels")
-    if len(v_support) != len(neighbouring_pairs(diagram)):
-        raise ConstructionViolation("star count differs from the neighbouring-pair count")
-    return ComponentTableau(diagram, columns, moves, e_support, v_support)
-
-
 def component_tableaux(parts: tuple[int, ...]) -> tuple[ComponentTableau, ...]:
     """Every component tableau of a composition given by its parts."""
     diagram = diagram_of(parts)
-    return tuple(collapse(diagram, columns, moves) for columns, moves in extend_all(diagram))
+    return tuple(ComponentTableau(diagram, columns, moves) for columns, moves in extend_all(diagram))

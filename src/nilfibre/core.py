@@ -6,12 +6,16 @@ columns and then left to right.  A strictly upper-triangular matrix position
 (i, j) belongs to the nilradical exactly when the entries i and j sit in
 distinct columns; positions with both entries in one column span the Levi
 factor and are discarded throughout.
+
+A ``Diagram`` is built from its composition alone: its constructor fills the
+columns and derives the boxes, the nilradical and the neighbouring pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 Pos = tuple[int, int]
 
@@ -66,35 +70,36 @@ class Composition:
 
 @dataclass(frozen=True)
 class Diagram:
-    """The filled diagram of a composition.
+    """The filled diagram of a composition: its columns hold 1..n, going
+    down each column, left to right.
 
     Columns are stored 0-indexed internally; rows are 1-indexed (row 1 on
     top).  All JSON output uses entry values, never internal indices.
 
-    The entry-to-box table, the nilradical positions, the neighbouring pairs
-    and the table of the pair surrounding each adjacent column pair are
-    built once, at construction, so the diagram stays immutable; they take
-    no part in equality, hashing or repr.
+    The composition is the diagram's only datum.  The columns, the
+    entry-to-box table, the nilradical positions, the neighbouring pairs and
+    the table of the pair surrounding each adjacent column pair are built
+    once, at construction, so the diagram stays immutable; they take no part
+    in equality or hashing.
     """
 
     composition: Composition
-    columns: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
     _boxes: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False)
     _nilradical: frozenset[Pos] = field(init=False, repr=False, compare=False)
     _pairs: tuple[NeighbouringPair, ...] = field(init=False, repr=False, compare=False)
     _surrounding: dict[tuple[int, int], NeighbouringPair] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        boxes = {
-            entry: (c, r) for c, col in enumerate(self.columns) for r, entry in enumerate(col, start=1)
-        }
+        parts = self.parts
+        cols = tuple(tuple(range(first, first + h)) for first, h in zip(accumulate(parts, initial=1), parts))
+        boxes = {entry: (c, r) for c, col in enumerate(cols) for r, entry in enumerate(col, start=1)}
         # Entries grow left to right, so each entry precedes every later column's.
-        cols = self.columns
         nilradical = frozenset(
             (i, j) for c, left in enumerate(cols) for right in cols[c + 1 :] for i in left for j in right
         )
         by_height: dict[int, list[int]] = {}
-        for c, h in enumerate(self.parts):
+        for c, h in enumerate(parts):
             by_height.setdefault(h, []).append(c)
         pairs = tuple(
             NeighbouringPair(a, b, h)
@@ -103,6 +108,7 @@ class Diagram:
         )
         # Pairs of one height cover disjoint runs of adjacent columns.
         surrounding = {(p.height, c): p for p in pairs for c in range(p.left, p.right)}
+        object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "_boxes", boxes)
         object.__setattr__(self, "_nilradical", nilradical)
         object.__setattr__(self, "_pairs", pairs)
@@ -146,8 +152,7 @@ class Diagram:
 
     @property
     def dim_nilradical(self) -> int:
-        parts = self.parts
-        return sum(parts[a] * parts[b] for a in range(self.k) for b in range(a + 1, self.k))
+        return len(self._nilradical)
 
     def to_json(self) -> dict:
         return {
@@ -169,23 +174,13 @@ class NeighbouringPair:
         return f"(C{self.left + 1},C{self.right + 1};s={self.height})"
 
 
-def build_diagram(composition: Composition) -> Diagram:
-    """Fill the diagram of ``composition`` going down columns, left to right."""
-    columns = []
-    next_entry = 1
-    for part in composition.parts:
-        columns.append(tuple(range(next_entry, next_entry + part)))
-        next_entry += part
-    return Diagram(composition, tuple(columns))
-
-
 def diagram_of(parts: tuple[int, ...]) -> Diagram:
     return _diagram_cached(tuple(parts))
 
 
 @lru_cache(maxsize=16)  # a sweep reads one composition's diagram at a time
 def _diagram_cached(parts: tuple[int, ...]) -> Diagram:
-    return build_diagram(Composition(parts))
+    return Diagram(Composition(parts))
 
 
 def neighbouring_pairs(diagram: Diagram) -> tuple[NeighbouringPair, ...]:

@@ -45,7 +45,6 @@ from .core import (
     NeighbouringPair,
     Pos,
     boxes_below_band,
-    build_diagram,
     interval_entries,
     neighbouring_pairs,
     true_degree,
@@ -335,7 +334,7 @@ def _cache_dir() -> str | None:
 @lru_cache(maxsize=None)
 def invariant_for(parts: tuple[int, ...], pair: NeighbouringPair) -> InvariantRecord:
     """Memoized extraction, optionally backed by the on-disk cache."""
-    diagram = build_diagram(Composition(parts))
+    diagram = Diagram(Composition(parts))
     cache = _cache_dir()
     path = None
     if cache:
@@ -624,3 +623,16 @@ def weierstrass_check(ct: ComponentTableau) -> WeierstrassReport:
     seen = [r.variable for r in results if r.variable is not None]
     distinct = len(seen) == len(set(seen))
     return WeierstrassReport(results, distinct)
+
+
+def invariant_variable_disjointness(diagram: Diagram) -> bool:
+    """Whether the generators of the composition use pairwise disjoint sets of
+    coordinates (true for partition-shaped compositions)."""
+    seen: set[Pos] = set()
+    for pair in neighbouring_pairs(diagram):
+        key, offset = _interval(diagram, pair)
+        vars_ = frozenset(_shift(_generator(key).variables(), offset))
+        if seen & vars_:
+            return False
+        seen |= vars_
+    return True

@@ -182,7 +182,7 @@ def excluded_roots(ct: ComponentTableau) -> ExcludedRootSet:
     return ExcludedRootSet(gens, union, diagram.nilradical_positions() - union)
 
 
-def bracket_closure_violations(diagram: Diagram, support: frozenset[Pos]) -> list[tuple[Pos, Pos, Pos]]:
+def bracket_closure_violations(support: frozenset[Pos]) -> list[tuple[Pos, Pos, Pos]]:
     """Composable support pairs whose product escapes ``support``."""
     heads: dict[int, list[Pos]] = {}
     for pos in support:

@@ -5,11 +5,11 @@ import json
 from pathlib import Path
 
 from nilfibre import invariants
-from nilfibre.analysis import invariant_variable_disjointness, jordan_type, orbit_dimension
+from nilfibre.analysis import jordan_type, orbit_dimension
 from nilfibre.builder import component_tableaux
 from nilfibre.conformance import compositions_of, verify_composition
 from nilfibre.core import Composition, diagram_of, neighbouring_pairs, true_degree
-from nilfibre.invariants import extract_invariant, invariant_for, symbolic_minor
+from nilfibre.invariants import extract_invariant, invariant_for, invariant_variable_disjointness, symbolic_minor
 from nilfibre.poly import Poly
 from nilfibre.roots import excluded_roots, hatted_tableau
 

@@ -1,6 +1,6 @@
-from dataclasses import replace
 from itertools import combinations
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,6 @@ import nilfibre.invariants as invariants
 from nilfibre.analysis import (
     covering_check,
     injectivity_witness,
-    invariant_variable_disjointness,
     jordan_type,
     orbit_dimension,
     orbital_variety_test,
@@ -23,6 +22,7 @@ from nilfibre.core import Composition, InternalConsistencyError, InvalidInput, d
 from nilfibre.invariants import (
     SYMBOLIC_MAX_N,
     invariant_for,
+    invariant_variable_disjointness,
     restricted_generator,
     vanishing_check,
     weierstrass_check,
@@ -141,6 +141,13 @@ def stacked_dimension(ct, roots):
     )
 
 
+def relabelled(ct, **supports):
+    """A stand-in for ``ct`` carrying the given supports, which no tableau
+    can carry: ``tangent_dimension`` reads only the diagram and the two
+    supports."""
+    return SimpleNamespace(**{"diagram": ct.diagram, "e_support": ct.e_support, "v_support": ct.v_support, **supports})
+
+
 def test_tangent_ranks_match_stacked_route():
     # genuine data, a trimmed excluded set (its dropped position joins U and
     # may also be starred), a starred set widened to the whole nilradical and
@@ -150,14 +157,14 @@ def test_tangent_ranks_match_stacked_route():
         for ct in component_tableaux(parts):
             roots = excluded_roots(ct)
             nilradical = ct.diagram.nilradical_positions()
-            cases = [(ct, roots), (replace(ct, v_support=nilradical), roots)]
+            cases = [(ct, roots), (relabelled(ct, v_support=nilradical), roots)]
             if roots.excluded:
                 smaller = roots.excluded - {min(roots.excluded)}
                 trimmed = ExcludedRootSet(roots.by_generator, smaller, nilradical - smaller)
                 cases.append((ct, trimmed))
             if ct.v_support and roots.u_support:
                 moved = ct.v_support - {min(ct.v_support)} | {min(roots.u_support)}
-                cases.append((replace(ct, v_support=moved), roots))
+                cases.append((relabelled(ct, v_support=moved), roots))
             for tableau, root_set in cases:
                 report = tangent_dimension(tableau, root_set)
                 fast = (report.rank_u_plus_ne, report.direct_sum_ok, report.ne_meets_y_trivially)
@@ -174,7 +181,7 @@ def test_tangent_rejects_a_one_matrix_that_is_no_partial_permutation():
     same_column = next((k, j) for k in range(1, j) if (k, j) not in ct.e_support)
     for extra in (same_row, same_column):
         with pytest.raises(InternalConsistencyError, match="repeats a row or a column"):
-            tangent_dimension(replace(ct, e_support=ct.e_support | {extra}), roots)
+            tangent_dimension(relabelled(ct, e_support=ct.e_support | {extra}), roots)
 
 
 def mat_mul(a, b):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilfibre import builder
-from nilfibre.builder import ONE, ComponentTableau, collapse, component_tableaux, extend_all
+from nilfibre.builder import ONE, ComponentTableau, component_tableaux, extend_all
 from nilfibre.conformance import compositions_of
 from nilfibre.core import ConstructionViolation, diagram_of, neighbouring_pairs
 from nilfibre.roots import excluded_roots
@@ -248,7 +248,7 @@ def test_extended_column_entries_distinct(parts):
 def test_each_entry_holds_a_run_of_columns_from_its_own():
     # entries only move into the right-hand neighbouring column, so the
     # columns holding an entry are consecutive and start at its original
-    # column; the search and collapse take an entry's copy in column c as
+    # column; the search and the tableau take an entry's copy in column c as
     # its last exactly when column c + 1 does not hold it
     checked = 0
     for n in range(1, 10):
@@ -292,7 +292,32 @@ def test_collapse_rejects_a_faulty_limit_tableau(faulty, match):
     diagram = diagram_of((1, 2, 1))
     ((columns, moves),) = extend_all(diagram)
     with pytest.raises(ConstructionViolation, match=match):
-        collapse(diagram, *faulty(columns, moves))
+        ComponentTableau(diagram, *faulty(columns, moves))
+
+
+def collapsed(diagram, columns, moves):
+    """The reference route: the supports and each pair's consuming entry,
+    derived by a pass of their own over the limit tableau and its moves, the
+    stars from the moves and the ones from each entry's last copy."""
+    stars = frozenset((move.entry, j) for move in moves for j in move.star_targets)
+    ones = set()
+    for c in range(diagram.k - 1):
+        stopped = [entry for entry in columns[c] if entry not in columns[c + 1]]
+        ones |= set(zip(stopped, diagram.columns[c + 1]))
+    consumed = {pair: move.entry for move in moves for pair in move.pairs}
+    return frozenset(ones), stars, consumed
+
+
+def test_constructor_derives_what_a_separate_pass_did():
+    checked = 0
+    for n in range(1, 10):
+        for parts in compositions_of(n):
+            diagram = diagram_of(parts)
+            for columns, moves in extend_all(diagram):
+                ct = ComponentTableau(diagram, columns, moves)
+                assert (ct.e_support, ct.v_support, ct.pair_entry()) == collapsed(diagram, columns, moves), (parts, moves)
+                checked += 1
+    assert checked == 678
 
 
 def scanned_trail(ct, pair):
@@ -326,7 +351,7 @@ def forged(parts, name, **changes):
     ct = component_tableaux(parts)[0]
     (pair,) = [p for p in neighbouring_pairs(ct.diagram) if str(p) == name]
     moves = tuple(replace(m, **changes) if pair in m.pairs else m for m in ct.moves)
-    return lambda: ComponentTableau(ct.diagram, ct.columns, moves, ct.e_support, ct.v_support)
+    return lambda: ComponentTableau(ct.diagram, ct.columns, moves)
 
 
 @pytest.mark.parametrize(

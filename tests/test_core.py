@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from nilfibre.conformance import compositions_of
 from nilfibre.core import (
     Composition,
+    Diagram,
     InvalidInput,
     NeighbouringPair,
     boxes_below_band,
-    build_diagram,
     diagram_of,
     neighbouring_pairs,
     surrounding_pair,
@@ -38,19 +38,31 @@ def test_empty_composition_rejected():
 
 
 def test_build_diagram_121():
-    d = diagram_of((1, 2, 1))
+    d = Diagram(Composition((1, 2, 1)))
     assert d.columns == ((1,), (2, 3), (4,))
 
 
 def test_build_diagram_single_column():
-    d = diagram_of((1,))
+    d = Diagram(Composition((1,)))
     assert d.columns == ((1,),)
     assert d.dim_nilradical == 0
     assert not d.nilradical_positions()
 
 
 def test_build_diagram_2112():
-    assert diagram_of((2, 1, 1, 2)).columns == ((1, 2), (3,), (4,), (5, 6))
+    assert Diagram(Composition((2, 1, 1, 2))).columns == ((1, 2), (3,), (4,), (5, 6))
+
+
+def test_diagram_fills_its_columns_down_and_left_to_right():
+    # the fill that a separate builder made before the diagram filled its
+    # own columns
+    for n in range(1, 11):
+        for parts in compositions_of(n):
+            columns, next_entry = [], 1
+            for part in parts:
+                columns.append(tuple(range(next_entry, next_entry + part)))
+                next_entry += part
+            assert Diagram(Composition(parts)).columns == tuple(columns), parts
 
 
 def test_pairs_121():

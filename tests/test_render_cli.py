@@ -445,6 +445,67 @@ def test_enumerate_outputs_match_the_digest_ledger(tmp_path):
     assert checked == digests
 
 
+def far_compositions():
+    """The far-n ledger's compositions, drawn by the rule that
+    far_compositions.txt states."""
+    from random import Random
+
+    listed = [(2, 1) * 7]
+    for n in (18, 20, 22, 24, 26):
+        rng = Random(n)
+        for _ in range(10):
+            cuts = rng.getrandbits(n - 1)
+            parts, size = [], 1
+            for b in range(n - 1):
+                if cuts >> b & 1:
+                    parts.append(size)
+                    size = 1
+                else:
+                    size += 1
+            parts.append(size)
+            listed += [tuple(parts), tuple(reversed(parts))]
+    for c in (3, 4, 5):
+        for n in (16, 20):
+            listed.append((c,) + (1,) * (n - 2 * c) + (c,))
+    for r in (3, 4, 5):
+        listed.append((3,) + (1, 2) * r + (1, 3))
+    return list(dict.fromkeys(listed))
+
+
+def far_ledger():
+    """(composition, report name, sha256) of every far-n ledger line, in the
+    list's order."""
+    listed = [line for line in (GOLDEN / "far_compositions.txt").read_text().splitlines() if not line.startswith("#")]
+    ledger = [line.split("  ") for line in (GOLDEN / "far_sha256.txt").read_text().splitlines()]
+    return [(comp, name, digest) for comp, (digest, name) in zip(listed, ledger, strict=True)]
+
+
+def test_far_list_follows_its_stated_rule():
+    # no composition is dropped or swapped, and the ledger names each
+    # listed composition's report, in the list's order
+    ledger = far_ledger()
+    assert [comp for comp, _, _ in ledger] == [",".join(map(str, parts)) for parts in far_compositions()]
+    assert all(name == f"verify_{comp.replace(',', '-')}.json" for comp, name, _ in ledger)
+    assert len(ledger) == 110
+
+
+def test_far_reports_match_the_digest_ledger(tmp_path):
+    # far_sha256.txt holds the sha256 of "verify --composition C --checks all
+    # --seed 0" for every C of far_compositions.txt; the lines of n <= 18 are
+    # regenerated here and every line is left to CI
+    import hashlib
+
+    checked = 0
+    for comp, name, digest in far_ledger():
+        if sum(map(int, comp.split(","))) > 18:
+            continue
+        args = ["verify", "--composition", comp, "--checks", "all", "--seed", "0"]
+        assert main(args + ["--out", str(tmp_path / name)]) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        checked += 1
+    assert checked == 24
+
+
 def test_invariant_disk_cache(tmp_path, monkeypatch):
     from nilfibre import invariants
 

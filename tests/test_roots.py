@@ -122,7 +122,7 @@ def test_support_is_bracket_closed(small_compositions):
     for parts in small_compositions:
         for ct in component_tableaux(parts):
             roots = excluded_roots(ct)
-            assert not bracket_closure_violations(ct.diagram, roots.u_support), parts
+            assert not bracket_closure_violations(roots.u_support), parts
 
 
 def test_support_levi_lowering_stable(small_compositions):
