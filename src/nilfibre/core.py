@@ -144,8 +144,7 @@ class Diagram:
         return self._boxes[entry]
 
     def in_nilradical(self, pos: Pos) -> bool:
-        i, j = pos
-        return i < j and self.column_of(i) < self.column_of(j)
+        return pos in self._nilradical
 
     def nilradical_positions(self) -> frozenset[Pos]:
         return self._nilradical

@@ -9,10 +9,11 @@ below the height-s band) is the generator; its monomials are exactly the
 products of s disjoint strictly-left-to-right entry chains joining the two
 columns.
 
-Extraction expands the minor only up to a^d, with each term held as a
-parameter power and a bitmask of variables.  ``symbolic_minor`` is the full
-expansion, one ``Poly`` per power of the parameter, kept as the reference
-the tests compare against; nothing else holds the parameter.
+Extraction, the generator's one route, expands the minor only up to a^d,
+with each term held as a parameter power and a bitmask of variables.
+``symbolic_minor`` is the full expansion, kept as the reference the tests
+compare against: it adds up its own terms and returns one ``Poly`` per power
+of the parameter; nothing else holds the parameter.
 No monomial cancels, so one min-cost perfect matching of the minor's cells
 decides every zero test, on either route, and gives the generator's least
 surviving monomial with its sign; no zero test reads the expanded
@@ -50,7 +51,7 @@ from .core import (
     true_degree,
 )
 from .builder import ComponentTableau
-from .poly import Poly
+from .poly import Mono, Poly
 from .roots import ExcludedRootSet, special_star_line, trail_exclusions
 
 # The largest interval whose generator the restrictions expand; past it they
@@ -81,30 +82,37 @@ def _minor_entry(diagram: Diagram, row_entry: int, col_entry: int, s: int):
 def symbolic_minor(diagram: Diagram, pair: NeighbouringPair) -> dict[int, Poly]:
     """Exact expansion of the lower-left minor of the pair's interval, every
     parameter power included: the nonzero coefficient of each power that
-    occurs, the reference for the truncated extraction."""
+    occurs, the reference for the truncated extraction.
+
+    Each Laplace step along a row puts the cell's position into the sorted
+    monomials of the complementary minor, or for a parameter cell raises
+    their power, and adds their coefficients with the step's sign; each
+    power's terms become a ``Poly`` once, at the end."""
     cells = _minor_cells(diagram, pair)
     size = len(cells)
-    memo: dict[tuple[int, ...], dict[int, Poly]] = {(): {0: Poly.const(1)}}
+    memo: dict[tuple[int, ...], dict[int, dict[Mono, int]]] = {(): {0: {(): 1}}}
 
-    def det(available: tuple[int, ...]) -> dict[int, Poly]:
+    def det(available: tuple[int, ...]) -> dict[int, dict[Mono, int]]:
         if available in memo:
             return memo[available]
         p = size - len(available)
-        total: dict[int, Poly] = {}
+        total: dict[int, dict[Mono, int]] = {}
         for idx, q in enumerate(available):
             cell = cells[p][q]
             if cell is None:
                 continue
-            for power, coeff in det(available[:idx] + available[idx + 1 :]).items():
-                if cell == "a":
-                    power += 1
-                else:
-                    coeff = coeff * Poly.var(cell)
-                total[power] = total.get(power, Poly.zero()) + (coeff if idx % 2 == 0 else -coeff)
-        memo[available] = {power: coeff for power, coeff in total.items() if not coeff.is_zero()}
-        return memo[available]
+            sign = -1 if idx % 2 else 1
+            for power, terms in det(available[:idx] + available[idx + 1 :]).items():
+                out = total.setdefault(power + 1 if cell == "a" else power, {})
+                for mono, coeff in terms.items():
+                    if cell != "a":
+                        mono = tuple(sorted((cell, *mono)))
+                    out[mono] = out.get(mono, 0) + sign * coeff
+        memo[available] = total
+        return total
 
-    return det(tuple(range(size)))
+    minor = {power: Poly(terms) for power, terms in det(tuple(range(size))).items()}
+    return {power: poly for power, poly in minor.items() if not poly.is_zero()}
 
 
 @dataclass(frozen=True)
@@ -124,10 +132,6 @@ class InvariantRecord:
 
 def _below_valuation(pair: NeighbouringPair, d: int) -> InternalConsistencyError:
     return InternalConsistencyError(f"raw minor of {pair} has a nonzero coefficient below valuation {d}")
-
-
-def _wrong_degree(pair: NeighbouringPair, degree: int) -> InternalConsistencyError:
-    return InternalConsistencyError(f"invariant of {pair} is not of degree {degree}")
 
 
 def _truncated_minor(
@@ -215,7 +219,7 @@ def _truncated_minor(
         if power < d:
             raise _below_valuation(pair, d)
         if mask.bit_count() != degree:
-            raise _wrong_degree(pair, degree)
+            raise InternalConsistencyError(f"invariant of {pair} is not of degree {degree}")
         mask &= symbolic_bits
         low = mask & low_half
         key = peel(low) + peel(mask ^ low)
@@ -304,26 +308,14 @@ def _least_monomial(
     return tuple(sorted(cell for cell in chosen if cell != "a")), -1 if inversions & 1 else 1
 
 
-def extract_invariant(
-    diagram: Diagram, pair: NeighbouringPair, minor: dict[int, Poly] | None = None
-) -> InvariantRecord:
-    """Sign-normalized coefficient of the minimal parameter power.
-
-    Without ``minor`` the expansion is truncated at that power; a given
-    ``minor``, the full ``symbolic_minor``, is read and checked instead."""
+def extract_invariant(diagram: Diagram, pair: NeighbouringPair) -> InvariantRecord:
+    """Sign-normalized coefficient of the minimal parameter power, the
+    expansion truncated at that power."""
     d = boxes_below_band(diagram, pair)
     degree = true_degree(diagram, pair)
-    if minor is None:
-        leading = _truncated_minor(diagram, pair, d, degree)
-    else:
-        if any(power < d for power in minor):
-            raise _below_valuation(pair, d)
-        leading = minor.get(d, Poly.zero())
-    inv = leading.sign_normalized()
+    inv = _truncated_minor(diagram, pair, d, degree).sign_normalized()
     if inv.is_zero():
         raise InternalConsistencyError(f"extracted invariant of {pair} is zero")
-    if minor is not None and inv.total_degrees() != {degree}:
-        raise _wrong_degree(pair, degree)
     return InvariantRecord(pair, d, degree, inv)
 
 

@@ -2,51 +2,32 @@
 
 Variables are matrix positions (i, j).  A monomial is a sorted tuple of
 distinct positions: every determinant term uses each cell at most once, so
-no position ever carries an exponent, and a product that would repeat one
-raises.  Coefficients are arbitrary-precision integers and zero coefficients
-are never stored.  The diagonal parameter of the minors is not a variable:
-the one expansion that keeps it, ``invariants.symbolic_minor``, holds a
-``Poly`` per power.
+no position ever carries an exponent.  Coefficients are arbitrary-precision
+integers and zero coefficients are never stored.
+
+A ``Poly`` is a map of monomials, not a ring: it has no addition or
+multiplication.  The engine builds each one from a term dict and only reads,
+negates or substitutes into it; the one expansion that multiplies cells,
+``invariants.symbolic_minor``, adds up its own terms and wraps each power of
+the minors' diagonal parameter, which is not a variable, in a ``Poly`` once.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 
-from .core import InternalConsistencyError, InvalidInput, Pos
+from .core import InvalidInput, Pos
 
 Mono = tuple[Pos, ...]
 
 
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    if not set(m1).isdisjoint(m2):
-        raise InternalConsistencyError(f"product of {m1} and {m2} repeats a position")
-    return tuple(sorted(m1 + m2))
-
-
 class Poly:
-    """Immutable-by-convention sparse polynomial."""
+    """Immutable-by-convention map of monomials to nonzero coefficients."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Mono, int] | None = None):
-        self.terms: dict[Mono, int] = {m: c for m, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
-
-    @classmethod
-    def const(cls, value: int) -> "Poly":
-        return cls({(): value})
-
-    @classmethod
-    def var(cls, pos: Pos) -> "Poly":
-        return cls({(pos,): 1})
+    def __init__(self, terms: dict[Mono, int]):
+        self.terms: dict[Mono, int] = {m: c for m, c in terms.items() if c != 0}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -54,30 +35,8 @@ class Poly:
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
 
-    def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = out.get(mono, 0) + coeff
-            if new:
-                out[mono] = new
-            else:
-                out.pop(mono, None)
-        return Poly(out)
-
     def __neg__(self) -> "Poly":
         return Poly({m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[Mono, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                new = out.get(mono, 0) + c1 * c2
-                if new:
-                    out[mono] = new
-                else:
-                    out.pop(mono, None)
-        return Poly(out)
 
     def variables(self) -> frozenset[Pos]:
         return frozenset(pos for mono in self.terms for pos in mono)

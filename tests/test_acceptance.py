@@ -21,13 +21,7 @@ def report(criterion: int, message: str) -> None:
 
 
 def poly_of(monomials):
-    out = Poly.zero()
-    for coeff, positions in monomials:
-        term = Poly.const(coeff)
-        for pos in positions:
-            term = term * Poly.var(pos)
-        out = out + term
-    return out
+    return Poly({tuple(sorted(positions)): coeff for coeff, positions in monomials})
 
 
 def every_tableau(max_n):
@@ -41,9 +35,13 @@ def test_criterion_1_invariant_formula():
     d = diagram_of((1, 2, 1))
     pair = neighbouring_pairs(d)[0]
     minor = symbolic_minor(d, pair)
-    record = extract_invariant(d, pair, minor)
+    record = extract_invariant(d, pair)
     want = poly_of([(1, [(1, 2), (2, 4)]), (1, [(1, 3), (3, 4)])])
     assert record.polynomial == want
+    # the full expansion's leading coefficient is the same generator
+    assert min(minor) == record.band_boxes == 1
+    assert minor[1].total_degrees() == {record.degree} == {true_degree(d, pair)}
+    assert minor[1].sign_normalized() == want
     square = minor[2]
     assert square == poly_of([(1, [(1, 4)])]) or square == poly_of([(-1, [(1, 4)])])
     report(1, "generator of (1,2,1) is x12 x24 + x13 x34; quadratic term is +-x14")

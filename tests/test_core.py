@@ -134,6 +134,15 @@ def test_matrix_model_membership():
     assert d.dim_nilradical == len(d.nilradical_positions()) == 5
 
 
+def test_in_nilradical_is_false_out_of_range_and_agrees_with_the_positions():
+    # every position of 1..n, and a border of positions outside it
+    for n in range(1, 8):
+        for parts in compositions_of(n):
+            d = diagram_of(parts)
+            square = {(i, j) for i in range(-1, n + 3) for j in range(-1, n + 3)}
+            assert {pos for pos in square if d.in_nilradical(pos)} == d.nilradical_positions(), parts
+
+
 def test_diagram_json():
     d = diagram_of((2, 1))
     assert d.to_json() == {"parts": [2, 1], "n": 3, "columns": [[1, 2], [3]]}

@@ -611,7 +611,7 @@ def test_every_generator_reads_back_from_the_disk_cache(tmp_path, monkeypatch):
         for pair in neighbouring_pairs(diagram_of(parts))
     ]
 
-    def refuse(diagram, pair, minor=None):
+    def refuse(diagram, pair):
         raise AssertionError(f"{pair} of {diagram.parts} missed the disk cache")
 
     invariants.invariant_for.cache_clear()
