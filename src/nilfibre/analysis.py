@@ -128,16 +128,19 @@ def tangent_dimension(ct: ComponentTableau, roots: ExcludedRootSet) -> Dimension
     """Exact ranks behind the dimension count: the support space plus the
     bracket image of the one-matrix misses exactly the starred span.
 
-    The one-matrix e is a partial permutation, so the bracket row [E_ij, e]
-    is +1 at (i, l) for the (j, l) in e and -1 at (k, j) for the (k, i) in e:
-    an edge between two nilradical coordinates, or to a ground vertex where
-    an end is missing.  Only the rows with j among e's rows or i among e's
-    columns have an end, and a repeated row adds nothing.  The rank of such
-    an incidence matrix is the size of a spanning forest (Biggs, Algebraic
-    Graph Theory, ch. 4), so one union-find pass gives rank(NE).  Adding the
-    unit vectors of a coordinate set S contracts S into the ground, so
-    rank(S + NE) = rank(NE) + (number of components that S or the ground
-    meets) - 1, for S = U, Y, U + Y.  e's Jordan type is the lengths of its
+    The one-matrix e is a partial permutation with maps succ and pred, so
+    the bracket row [E_ij, e] = E_(i, succ j) - E_(pred i, j) joins
+    v = (pred i, j) to psi(v) = (i, succ j), where psi(a, b) =
+    (succ a, succ b); an end that is missing or outside the nilradical M is
+    the ground.  A position (a, b) is entered only by the row (a, pred b),
+    when a < pred b, and left only by the row (succ a, b), when succ a < b,
+    so the rows make M a set of psi-chains, each joined to the ground or
+    free.  A chain of k positions has k - 1 rows among them, and one more if
+    it is grounded: modulo the rows, its unit vectors are all zero or all
+    one nonzero vector.  So with the unit vectors of a coordinate set S
+    added, rank(S + NE) = dim M - (number of free chains that S misses), for
+    S = U, Y, U + Y.  pred a < a, so one pass in sorted order names each
+    chain by its first position.  e's Jordan type is the lengths of its own
     chains."""
     diagram = ct.diagram
     n = diagram.n
@@ -150,33 +153,20 @@ def tangent_dimension(ct: ComponentTableau, roots: ExcludedRootSet) -> Dimension
     if not len(successor) == len(predecessor) == len(ct.e_support):
         raise InternalConsistencyError("the one-matrix repeats a row or a column")
 
-    parent: dict[Pos | None, Pos | None] = {None: None}  # None is the ground
-
-    def find(v: Pos | None) -> Pos | None:
-        parent.setdefault(v, v)
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    rank_ne = 0
-    rows = [(i, j) for j in successor for i in range(1, j)] + [(i, j) for i in predecessor for j in range(i + 1, n + 1)]
-    for i, j in rows:
-        plus = (i, successor[j]) if j in successor else None
-        minus = (predecessor[i], j) if i in predecessor else None
-        a = find(plus if plus in nilradical else None)
-        b = find(minus if minus in nilradical else None)
-        if a != b:
-            parent[a] = b
-            rank_ne += 1
-
-    def rank_with(coords: frozenset[Pos]) -> int:
-        return rank_ne + len({find(v) for v in coords} | {find(None)}) - 1
-
-    u_set, y_set = roots.u_support, ct.v_support
-    rank_u_ne = rank_with(u_set)
-    rank_ne_y = rank_with(y_set)
-    rank_all = rank_with(u_set | y_set)
+    head: dict[Pos, Pos] = {}  # the first position of each position's chain
+    grounded: set[Pos] = set()
+    for a, b in sorted(nilradical):
+        entering = predecessor.get(b, a) > a  # the row (a, pred b)
+        leaving = successor.get(a, b) < b  # the row (succ a, b)
+        before = (predecessor.get(a), predecessor.get(b))
+        after = (successor.get(a), successor.get(b))
+        head[a, b] = first = head[before] if entering and before in nilradical else (a, b)
+        if entering and before not in nilradical or leaving and after not in nilradical:
+            grounded.add(first)
+    free = set(head.values()) - grounded
+    missed_by_u = free - {head[v] for v in roots.u_support}
+    y_set = ct.v_support
+    y_chains = {head[v] for v in y_set}
 
     chains = []
     for start in range(1, n + 1):
@@ -189,9 +179,9 @@ def tangent_dimension(ct: ComponentTableau, roots: ExcludedRootSet) -> Dimension
     return DimensionReport(
         dim_nilradical=dim_m,
         generators=g,
-        rank_u_plus_ne=rank_u_ne,
-        direct_sum_ok=rank_all == dim_m and rank_u_ne + len(y_set) == dim_m,
-        ne_meets_y_trivially=rank_ne_y == rank_ne + len(y_set),
+        rank_u_plus_ne=dim_m - len(missed_by_u),
+        direct_sum_ok=missed_by_u <= y_chains and len(missed_by_u) == len(y_set),
+        ne_meets_y_trivially=len(free & y_chains) == len(y_set),
         jordan_of_e=tuple(sorted(chains, reverse=True)),
     )
 

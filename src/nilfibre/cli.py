@@ -209,10 +209,11 @@ def cmd_sweep(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    """ASCII digits alone, as ``Composition.parse`` reads a part."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    value = int(digits)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value

@@ -54,15 +54,13 @@ class Composition:
 
     @classmethod
     def parse(cls, text: str) -> "Composition":
-        """Parse a comma-separated decimal string such as "2,1,1,2"."""
+        """Parse a comma-separated decimal string such as "2,1,1,2".  Each
+        part is ASCII digits alone, so ``int``'s underscores, signs and other
+        scripts' digits are rejected."""
         items = [piece.strip() for piece in text.split(",")]
-        if not items or any(not piece for piece in items):
+        if not all(piece.isascii() and piece.isdigit() for piece in items):
             raise InvalidInput(f"cannot parse composition from {text!r}")
-        try:
-            parts = tuple(int(piece) for piece in items)
-        except ValueError as exc:
-            raise InvalidInput(f"cannot parse composition from {text!r}") from exc
-        return cls(parts)
+        return cls(tuple(int(piece) for piece in items))
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)

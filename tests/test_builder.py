@@ -56,6 +56,53 @@ def test_tableau_totals_per_n():
     assert totals == [1, 2, 4, 8, 16, 36, 76, 165, 370, 839, 1923, 4493]
 
 
+def counted_families(max_n):
+    """Every member of n <= max_n of the periodic families whose tableau
+    counts were seen to grow by a short recurrence, with that count.  The
+    families are all such observed so far: (2,1)^k and (1,2)^k give the odd
+    Fibonacci numbers F(2k-1); (2,1)^k,2 and (1,2)^k,1 the even ones F(2k);
+    (1,2,1)^k, (2,1,1)^k and (2,2,1)^k satisfy a_k = 4a_(k-1) - a_(k-2) from
+    (1, 4), (1, 3) and (1, 3); (2,1^m,2) gives max(1, m).  These are
+    observations, not theorems: the paper states no formula.  Nothing else
+    checks enumeration independently past the n = 12 totals, so the bound
+    is as far as a run can afford (n <= 18 in about 0.1 s for the tests,
+    n <= 27 in CI); a member that stops matching is a finding, not a
+    reason to shorten the range."""
+    fib = [0, 1]
+    while len(fib) <= 2 * max_n:
+        fib.append(fib[-1] + fib[-2])
+
+    def four_minus(a1, a2):
+        seq = [a1, a2]
+        while len(seq) < max_n:
+            seq.append(4 * seq[-1] - seq[-2])
+        return seq
+
+    families = [
+        ((2, 1), (), fib[1::2]),
+        ((1, 2), (), fib[1::2]),
+        ((2, 1), (2,), fib[2::2]),
+        ((1, 2), (1,), fib[2::2]),
+        ((1, 2, 1), (), four_minus(1, 4)),
+        ((2, 1, 1), (), four_minus(1, 3)),
+        ((2, 2, 1), (), four_minus(1, 3)),
+    ]
+    for period, tail, counts in families:
+        k = 1
+        while sum(parts := period * k + tail) <= max_n:
+            yield parts, counts[k - 1]
+            k += 1
+    for m in range(max_n - 3):
+        yield (2,) + (1,) * m + (2,), max(1, m)
+
+
+def test_periodic_family_counts():
+    members = list(counted_families(18))
+    assert len(members) == 48
+    wrong = [(parts, count, found) for parts, count in members if (found := len(extend_all(diagram_of(parts)))) != count]
+    assert not wrong
+
+
 def test_pruned_search_matches_unpruned(monkeypatch):
     # With no pair forced, the search clones every branch, stranding ones
     # included, and runs the free-pair guard at each of their nodes.

@@ -26,7 +26,7 @@ def test_parse_roundtrip():
     assert str(comp) == "2,1,1,2"
 
 
-@pytest.mark.parametrize("bad", ["", "2,,1", "a", "0,1", "-1", "1.5"])
+@pytest.mark.parametrize("bad", ["", "2,,1", "a", "0,1", "-1", "1.5", "1_1", "\u0662,1"])
 def test_parse_rejects(bad):
     with pytest.raises(InvalidInput):
         Composition.parse(bad)

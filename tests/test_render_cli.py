@@ -167,6 +167,8 @@ def test_symbolic_max_n_is_not_an_option(tmp_path, argv):
         ["sweep", "--n", "0"],
         ["sweep", "--n", "-2"],
         ["sweep", "--n", "three"],
+        ["sweep", "--n", "1_0"],
+        ["sweep", "--n", "3", "--threads", "1_0"],
         ["sweep", "--n", "3", "--threads", "0"],
         ["sweep", "--n", "3", "--threads", "-4"],
         ["verify", "--composition", "2,1", "--threads", "0"],
