@@ -3,7 +3,6 @@ nilradicals in sl(n): tableau enumeration, excluded-root sets, semi-invariant
 generators and machine verification of their structural theorems."""
 
 from .core import (
-    Composition,
     ConstructionViolation,
     Diagram,
     InternalConsistencyError,

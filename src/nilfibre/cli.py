@@ -18,8 +18,8 @@ from collections.abc import Callable, Iterator
 from typing import TextIO
 
 from .builder import component_tableaux
-from .conformance import ALL_CHECKS, SCHEMA_VERSION, sweep, verify_composition
-from .core import Composition, InvalidInput, diagram_of
+from .conformance import ALL_CHECKS, SCHEMA_VERSION, sweep, validate_checks, verify_composition
+from .core import InvalidInput, diagram_of, parse_composition
 from .render import latex_component, latex_matrix, render_component, render_matrix
 from .roots import excluded_roots
 
@@ -63,11 +63,6 @@ def _output(out: str | None) -> contextlib.AbstractContextManager[TextIO]:
     return _replacing(out) if out else contextlib.nullcontext(sys.stdout)
 
 
-def _write(text: str, out: str | None) -> None:
-    with _output(out) as handle:
-        handle.write(text)
-
-
 def _write_json(payload, out: str | None) -> None:
     with _output(out) as handle:
         _dump(handle, payload)
@@ -75,37 +70,40 @@ def _write_json(payload, out: str | None) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    composition = Composition.parse(args.composition)
-    tableaux = component_tableaux(composition.parts)
-    if args.format == "json":
-        payload = {
-            "schemaVersion": SCHEMA_VERSION,
-            "composition": list(composition.parts),
-            "diagram": diagram_of(composition.parts).to_json(),
-            "tableaux": [
-                {
-                    **ct.to_json(),
-                    "excludedRoots": excluded_roots(ct).to_json(),
-                }
-                for ct in tableaux
-            ],
-        }
-        _write_json(payload, args.out)
-    elif args.format == "latex":
-        blocks = []
-        for idx, ct in enumerate(tableaux):
-            roots = excluded_roots(ct)
-            blocks.append(latex_component(ct, idx))
-            blocks.append(latex_matrix(ct, roots, idx))
-        _write("\n\n".join(blocks) + "\n", args.out)
-    else:
-        blocks = [f"composition {composition}  tableaux {len(tableaux)}"]
-        for idx, ct in enumerate(tableaux):
-            roots = excluded_roots(ct)
-            blocks.append(f"-- tableau {idx} --")
-            blocks.append(render_component(ct))
-            blocks.append(render_matrix(ct, roots))
-        _write("\n".join(blocks) + "\n", args.out)
+    diagram = diagram_of(parse_composition(args.composition))
+    # a bad --out fails here, before any tableau is built
+    with _output(args.out) as handle:
+        tableaux = component_tableaux(diagram.parts)
+        if args.format == "json":
+            payload = {
+                "schemaVersion": SCHEMA_VERSION,
+                "composition": list(diagram.parts),
+                "diagram": diagram.to_json(),
+                "tableaux": [
+                    {
+                        **ct.to_json(),
+                        "excludedRoots": excluded_roots(ct).to_json(),
+                    }
+                    for ct in tableaux
+                ],
+            }
+            _dump(handle, payload)
+            handle.write("\n")
+        elif args.format == "latex":
+            blocks = []
+            for idx, ct in enumerate(tableaux):
+                roots = excluded_roots(ct)
+                blocks.append(latex_component(ct, idx))
+                blocks.append(latex_matrix(ct, roots, idx))
+            handle.write("\n\n".join(blocks) + "\n")
+        else:
+            blocks = [f"composition {','.join(map(str, diagram.parts))}  tableaux {len(tableaux)}"]
+            for idx, ct in enumerate(tableaux):
+                roots = excluded_roots(ct)
+                blocks.append(f"-- tableau {idx} --")
+                blocks.append(render_component(ct))
+                blocks.append(render_matrix(ct, roots))
+            handle.write("\n".join(blocks) + "\n")
     return EXIT_PASS
 
 
@@ -115,21 +113,19 @@ def _parse_checks(text: str) -> tuple[str, ...]:
     checks = tuple(piece.strip() for piece in text.split(",") if piece.strip())
     if not checks:
         raise InvalidInput(f"no checks given; known: {', '.join(ALL_CHECKS)}")
-    unknown = set(checks) - set(ALL_CHECKS)
-    if unknown:
-        raise InvalidInput(f"unknown checks {sorted(unknown)}; known: {', '.join(ALL_CHECKS)}")
-    if len(set(checks)) != len(checks):
-        raise InvalidInput(f"repeated checks in {text!r}")
-    return checks
+    return validate_checks(checks)
 
 
 def cmd_verify(args) -> int:
-    composition = Composition.parse(args.composition)
+    diagram = diagram_of(parse_composition(args.composition))
     checks = _parse_checks(args.checks)
-    started = time.monotonic()
-    report = verify_composition(composition, checks, seed=args.seed)
-    print(f"verify {composition}: {time.monotonic() - started:.2f}s", file=sys.stderr)
-    _write_json(report, args.out)
+    # a bad --out fails here, before any check runs
+    with _output(args.out) as handle:
+        started = time.monotonic()
+        report = verify_composition(diagram, checks, seed=args.seed)
+        print(f"verify {','.join(map(str, diagram.parts))}: {time.monotonic() - started:.2f}s", file=sys.stderr)
+        _dump(handle, report)
+        handle.write("\n")
     if not report["pass"]:
         return EXIT_VIOLATION
     if report["inconclusive"]:
@@ -208,12 +204,18 @@ def cmd_sweep(args) -> int:
     return EXIT_PASS
 
 
-def _positive_int(text: str) -> int:
-    """ASCII digits alone, as ``Composition.parse`` reads a part."""
+def _ascii_int(text: str) -> int:
+    """An optional "-" before ASCII digits, as ``parse_composition`` reads a
+    part, so ``int``'s underscores, "+" and other scripts' digits are rejected."""
     digits = text.strip()
-    if not (digits.isascii() and digits.isdigit()):
+    unsigned = digits.removeprefix("-")
+    if not (unsigned.isascii() and unsigned.isdigit()):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    value = int(digits)
+    return int(digits)
+
+
+def _positive_int(text: str) -> int:
+    value = _ascii_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -233,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output file (default stdout)")
-    common.add_argument("--seed", type=int, default=0, help="seed of the orbital check's random samples")
+    common.add_argument("--seed", type=_ascii_int, default=0, help="seed of the orbital check's random samples")
     common.add_argument("--threads", type=_thread_count, default=1, help="worker processes, at most the CPU count")
 
     enum = sub.add_parser("enumerate", help="list the component tableaux")

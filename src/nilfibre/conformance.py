@@ -17,7 +17,7 @@ from .analysis import (
     tangent_dimension,
 )
 from .builder import component_tableaux
-from .core import Composition
+from .core import Diagram, InvalidInput, diagram_of
 from .invariants import vanishing_check, weierstrass_check
 from .roots import excluded_roots
 
@@ -29,23 +29,30 @@ def _seeded(seed: int, parts: tuple[int, ...], salt: str) -> Random:
     return Random(f"{seed}:{salt}:{','.join(map(str, parts))}")
 
 
+def validate_checks(checks: tuple[str, ...]) -> tuple[str, ...]:
+    """``checks``, after raising ``InvalidInput`` if one is unknown or repeated."""
+    unknown = set(checks) - set(ALL_CHECKS)
+    if unknown:
+        raise InvalidInput(f"unknown checks {sorted(unknown)}; known: {', '.join(ALL_CHECKS)}")
+    if len(set(checks)) != len(checks):
+        raise InvalidInput(f"repeated checks in {','.join(checks)!r}")
+    return checks
+
+
 def verify_composition(
-    composition: Composition,
+    diagram: Diagram,
     checks: tuple[str, ...] = ALL_CHECKS,
     seed: int = 0,
 ) -> dict:
-    """Run the selected theorem checks on every tableau of the composition."""
-    unknown = set(checks) - set(ALL_CHECKS)
-    if unknown:
-        raise ValueError(f"unknown checks: {sorted(unknown)}")
-    if len(set(checks)) != len(checks):
-        raise ValueError(f"repeated checks: {list(checks)}")
-    parts = composition.parts
+    """Run the selected theorem checks on every tableau of the diagram's
+    composition."""
+    validate_checks(checks)
+    parts = diagram.parts
     tableaux = component_tableaux(parts)
     report: dict = {
         "schemaVersion": SCHEMA_VERSION,
         "composition": list(parts),
-        "n": composition.n,
+        "n": diagram.n,
         "seed": seed,
         "checks": list(checks),
         "tableauCount": len(tableaux),
@@ -146,4 +153,4 @@ def sweep(
 
 def _verify_job(args) -> dict:
     parts, checks, seed = args
-    return verify_composition(Composition(parts), checks, seed)
+    return verify_composition(diagram_of(parts), checks, seed)

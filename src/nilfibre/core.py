@@ -1,4 +1,4 @@
-"""Compositions, diagrams and the matrix model of a parabolic nilradical in sl(n).
+"""Diagrams of compositions and the matrix model of a parabolic nilradical in sl(n).
 
 A composition (c_1, ..., c_k) of n fixes a standard parabolic subalgebra of
 sl(n).  Its diagram has k columns of heights c_i, filled with 1..n going down
@@ -7,8 +7,8 @@ columns and then left to right.  A strictly upper-triangular matrix position
 distinct columns; positions with both entries in one column span the Levi
 factor and are discarded throughout.
 
-A ``Diagram`` is built from its composition alone: its constructor fills the
-columns and derives the boxes, the nilradical and the neighbouring pairs.
+A composition is its ``Diagram``: ``Diagram(parts)`` checks the parts, fills
+the columns and derives the boxes, the nilradical and the neighbouring pairs.
 """
 
 from __future__ import annotations
@@ -32,38 +32,14 @@ class InternalConsistencyError(RuntimeError):
     """Two internal routes to the same quantity disagree."""
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Ordered parts (c_1, ..., c_k), every part >= 1."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.parts:
-            raise InvalidInput("composition needs at least one part")
-        if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in self.parts):
-            raise InvalidInput(f"composition parts must be positive integers, got {self.parts!r}")
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def k(self) -> int:
-        return len(self.parts)
-
-    @classmethod
-    def parse(cls, text: str) -> "Composition":
-        """Parse a comma-separated decimal string such as "2,1,1,2".  Each
-        part is ASCII digits alone, so ``int``'s underscores, signs and other
-        scripts' digits are rejected."""
-        items = [piece.strip() for piece in text.split(",")]
-        if not all(piece.isascii() and piece.isdigit() for piece in items):
-            raise InvalidInput(f"cannot parse composition from {text!r}")
-        return cls(tuple(int(piece) for piece in items))
-
-    def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts)
+def parse_composition(text: str) -> tuple[int, ...]:
+    """Parse a comma-separated decimal string such as "2,1,1,2".  Each part
+    is ASCII digits alone, so ``int``'s underscores, signs and other
+    scripts' digits are rejected."""
+    items = [piece.strip() for piece in text.split(",")]
+    if not all(piece.isascii() and piece.isdigit() for piece in items):
+        raise InvalidInput(f"cannot parse composition from {text!r}")
+    return tuple(int(piece) for piece in items)
 
 
 @dataclass(frozen=True)
@@ -74,14 +50,14 @@ class Diagram:
     Columns are stored 0-indexed internally; rows are 1-indexed (row 1 on
     top).  All JSON output uses entry values, never internal indices.
 
-    The composition is the diagram's only datum.  The columns, the
-    entry-to-box table, the nilradical positions, the neighbouring pairs and
-    the table of the pair surrounding each adjacent column pair are built
-    once, at construction, so the diagram stays immutable; they take no part
-    in equality or hashing.
+    The parts (c_1, ..., c_k), each an ``int`` of at least 1, are the
+    diagram's only datum and alone set its equality and hash.  The columns,
+    the entry-to-box table, the nilradical positions, the neighbouring pairs
+    and the table of the pair surrounding each adjacent column pair are built
+    once, at construction, so the diagram stays immutable.
     """
 
-    composition: Composition
+    parts: tuple[int, ...]
     columns: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
     _boxes: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False)
     _nilradical: frozenset[Pos] = field(init=False, repr=False, compare=False)
@@ -90,6 +66,10 @@ class Diagram:
 
     def __post_init__(self) -> None:
         parts = self.parts
+        if not parts:
+            raise InvalidInput("composition needs at least one part")
+        if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in parts):
+            raise InvalidInput(f"composition parts must be positive integers, got {parts!r}")
         cols = tuple(tuple(range(first, first + h)) for first, h in zip(accumulate(parts, initial=1), parts))
         boxes = {entry: (c, r) for c, col in enumerate(cols) for r, entry in enumerate(col, start=1)}
         # Entries grow left to right, so each entry precedes every later column's.
@@ -113,16 +93,12 @@ class Diagram:
         object.__setattr__(self, "_surrounding", surrounding)
 
     @property
-    def parts(self) -> tuple[int, ...]:
-        return self.composition.parts
-
-    @property
     def n(self) -> int:
-        return self.composition.n
+        return sum(self.parts)
 
     @property
     def k(self) -> int:
-        return self.composition.k
+        return len(self.parts)
 
     def height(self, col: int) -> int:
         return self.parts[col]
@@ -177,7 +153,7 @@ def diagram_of(parts: tuple[int, ...]) -> Diagram:
 
 @lru_cache(maxsize=16)  # a sweep reads one composition's diagram at a time
 def _diagram_cached(parts: tuple[int, ...]) -> Diagram:
-    return Diagram(Composition(parts))
+    return Diagram(parts)
 
 
 def neighbouring_pairs(diagram: Diagram) -> tuple[NeighbouringPair, ...]:

@@ -40,7 +40,6 @@ from itertools import combinations, permutations
 from math import inf
 
 from .core import (
-    Composition,
     Diagram,
     InternalConsistencyError,
     NeighbouringPair,
@@ -326,7 +325,7 @@ def _cache_dir() -> str | None:
 @lru_cache(maxsize=None)
 def invariant_for(parts: tuple[int, ...], pair: NeighbouringPair) -> InvariantRecord:
     """Memoized extraction, optionally backed by the on-disk cache."""
-    diagram = Diagram(Composition(parts))
+    diagram = Diagram(parts)
     cache = _cache_dir()
     path = None
     if cache:

@@ -8,7 +8,7 @@ from nilfibre import invariants
 from nilfibre.analysis import jordan_type, orbit_dimension
 from nilfibre.builder import component_tableaux
 from nilfibre.conformance import compositions_of, verify_composition
-from nilfibre.core import Composition, diagram_of, neighbouring_pairs, true_degree
+from nilfibre.core import diagram_of, neighbouring_pairs, true_degree
 from nilfibre.invariants import extract_invariant, invariant_for, invariant_variable_disjointness, symbolic_minor
 from nilfibre.poly import Poly
 from nilfibre.roots import excluded_roots, hatted_tableau
@@ -121,7 +121,7 @@ def verified(max_n, check):
     reports = []
     for n in range(1, max_n + 1):
         for parts in compositions_of(n):
-            result = verify_composition(Composition(parts), (check,))
+            result = verify_composition(diagram_of(parts), (check,))
             assert result["pass"], (parts, check)
             reports.append(result)
     assert len(reports) == 2**max_n - 1
@@ -138,7 +138,7 @@ def test_criterion_5_vanishing_sweep(monkeypatch):
     spot = [(2, 1, 2, 1, 2, 2), (1, 3, 1, 3, 1, 1), (3, 2, 1, 1, 2, 2), (2, 1, 2, 1, 2, 1, 2)]
     for parts in spot:
         assert sum(parts) in (10, 11)
-        result = verify_composition(Composition(parts), ("vanishing",))
+        result = verify_composition(diagram_of(parts), ("vanishing",))
         assert result["pass"], parts
         assert result["engineModes"] == ["randomized", "symbolic"], parts
     report(5, f"global and specific vanishing on {instances} tableaux (n<=9) plus randomized spot checks")

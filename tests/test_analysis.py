@@ -18,7 +18,7 @@ from nilfibre.analysis import (
 )
 from nilfibre.builder import ComponentTableau, component_tableaux
 from nilfibre.conformance import compositions_of, verify_composition
-from nilfibre.core import Composition, InternalConsistencyError, InvalidInput, diagram_of, interval_entries, neighbouring_pairs
+from nilfibre.core import InternalConsistencyError, InvalidInput, diagram_of, interval_entries, neighbouring_pairs
 from nilfibre.invariants import (
     SYMBOLIC_MAX_N,
     invariant_for,
@@ -231,7 +231,7 @@ def test_jordan_type_matches_powers_route_on_orbital_samples(monkeypatch):
 
     monkeypatch.setattr(analysis, "jordan_type", checked)
     for parts in (p for n in range(1, 10) for p in compositions_of(n)):
-        verify_composition(Composition(parts), checks=("orbital",), seed=0)
+        verify_composition(diagram_of(parts), checks=("orbital",), seed=0)
     assert len(seen) > 1000 and len(set(seen)) > 20
 
 
@@ -258,7 +258,7 @@ def test_dimension_and_orbital_checks_skip_dense_elimination(monkeypatch):
         for ct in component_tableaux(parts):
             tangent_dimension(ct, excluded_roots(ct))
     assert calls == {"exact_rank": 0, "row_basis": 0, "jordan_type": 0}
-    verify_composition(Composition((2, 1, 2, 1, 2, 1)))
+    verify_composition(diagram_of((2, 1, 2, 1, 2, 1)))
     assert calls["jordan_type"] > 0
     assert calls["exact_rank"] == calls["jordan_type"]
 
@@ -435,9 +435,9 @@ def test_injectivity_alone_reports_what_all_checks_report(monkeypatch, bound):
     monkeypatch.setattr(invariants, "SYMBOLIC_MAX_N", bound)
     for n in range(1, 9):
         for parts in compositions_of(n):
-            c = Composition(parts)
-            alone = verify_composition(c, ("injectivity",))
-            everything = verify_composition(c)
+            d = diagram_of(parts)
+            alone = verify_composition(d, ("injectivity",))
+            everything = verify_composition(d)
             assert alone["injectivityPairs"] == everything["injectivityPairs"], parts
 
 

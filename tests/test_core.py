@@ -4,13 +4,13 @@ from hypothesis import strategies as st
 
 from nilfibre.conformance import compositions_of
 from nilfibre.core import (
-    Composition,
     Diagram,
     InvalidInput,
     NeighbouringPair,
     boxes_below_band,
     diagram_of,
     neighbouring_pairs,
+    parse_composition,
     surrounding_pair,
     true_degree,
 )
@@ -20,37 +20,42 @@ compositions = st.lists(st.integers(1, 4), min_size=1, max_size=6).map(tuple)
 
 
 def test_parse_roundtrip():
-    comp = Composition.parse("2,1,1,2")
-    assert comp.parts == (2, 1, 1, 2)
-    assert comp.n == 6 and comp.k == 4
-    assert str(comp) == "2,1,1,2"
+    d = Diagram(parse_composition("2,1,1,2"))
+    assert d.parts == (2, 1, 1, 2)
+    assert d.n == 6 and d.k == 4
 
 
 @pytest.mark.parametrize("bad", ["", "2,,1", "a", "0,1", "-1", "1.5", "1_1", "\u0662,1"])
 def test_parse_rejects(bad):
     with pytest.raises(InvalidInput):
-        Composition.parse(bad)
+        Diagram(parse_composition(bad))
 
 
 def test_empty_composition_rejected():
     with pytest.raises(InvalidInput):
-        Composition(())
+        Diagram(())
+
+
+@pytest.mark.parametrize("parts", [(2, 0), (1, -1), (1, True), (1.0,), ("1",)])
+def test_bad_parts_rejected(parts):
+    with pytest.raises(InvalidInput):
+        Diagram(parts)
 
 
 def test_build_diagram_121():
-    d = Diagram(Composition((1, 2, 1)))
+    d = Diagram((1, 2, 1))
     assert d.columns == ((1,), (2, 3), (4,))
 
 
 def test_build_diagram_single_column():
-    d = Diagram(Composition((1,)))
+    d = Diagram((1,))
     assert d.columns == ((1,),)
     assert d.dim_nilradical == 0
     assert not d.nilradical_positions()
 
 
 def test_build_diagram_2112():
-    assert Diagram(Composition((2, 1, 1, 2))).columns == ((1, 2), (3,), (4,), (5, 6))
+    assert Diagram((2, 1, 1, 2)).columns == ((1, 2), (3,), (4,), (5, 6))
 
 
 def test_diagram_fills_its_columns_down_and_left_to_right():
@@ -62,7 +67,7 @@ def test_diagram_fills_its_columns_down_and_left_to_right():
             for part in parts:
                 columns.append(tuple(range(next_entry, next_entry + part)))
                 next_entry += part
-            assert Diagram(Composition(parts)).columns == tuple(columns), parts
+            assert Diagram(parts).columns == tuple(columns), parts
 
 
 def test_pairs_121():

@@ -9,7 +9,7 @@ from collections import Counter
 
 from nilfibre.builder import component_tableaux, extend_all
 from nilfibre.conformance import compositions_of, verify_composition
-from nilfibre.core import Composition, diagram_of, neighbouring_pairs
+from nilfibre.core import diagram_of, neighbouring_pairs
 from nilfibre.invariants import extract_invariant
 
 
@@ -47,7 +47,7 @@ def test_reversal_keeps_the_multisets_of_invariant_data():
     # of the tableaux may be compared, as multisets: the subspaces themselves
     # do not correspond
     def invariant_data(parts):
-        report = verify_composition(Composition(parts), ("dimension", "orbital"))
+        report = verify_composition(diagram_of(parts), ("dimension", "orbital"))
         return Counter(
             (
                 tuple(entry["jordanType"]),

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from nilfibre.builder import component_tableaux
 from nilfibre.conformance import compositions_of, verify_composition
 from nilfibre.core import (
-    Composition,
     InternalConsistencyError,
     InvalidInput,
     NeighbouringPair,
@@ -507,11 +506,11 @@ def test_restricted_route_reports_match_the_expanded_route(monkeypatch):
     checks = ("vanishing", "weierstrass", "injectivity")
     for n in range(1, 10):
         for parts in compositions_of(n):
-            composition = Composition(parts)
-            expanded = _without_modes(verify_composition(composition, checks, 0))
+            diagram = diagram_of(parts)
+            expanded = _without_modes(verify_composition(diagram, checks, 0))
             with monkeypatch.context() as patch:
                 patch.setattr(invariants, "SYMBOLIC_MAX_N", 0)
-                assert _without_modes(verify_composition(composition, checks, 0)) == expanded, parts
+                assert _without_modes(verify_composition(diagram, checks, 0)) == expanded, parts
 
 
 @pytest.mark.parametrize("parts", [(5, 3, 5), (4, 1, 2, 2, 4)])
@@ -526,7 +525,7 @@ def test_no_generator_past_the_bound_is_expanded(monkeypatch, fresh_memos, parts
         return extract(diagram, pair)
 
     monkeypatch.setattr(invariants, "extract_invariant", counting)
-    verify_composition(Composition(parts))
+    verify_composition(diagram_of(parts))
     inner = [p for p in neighbouring_pairs(diagram_of(parts)) if p != full_span_pair(parts)]
     # one extraction per interval key of an inner pair
     assert len(extracted) == len({parts[p.left : p.right + 1] for p in inner})
@@ -534,7 +533,7 @@ def test_no_generator_past_the_bound_is_expanded(monkeypatch, fresh_memos, parts
     extracted.clear()
     fresh_memos()
     monkeypatch.setattr(invariants, "SYMBOLIC_MAX_N", 0)
-    verify_composition(Composition(parts), ("weierstrass", "injectivity"))
+    verify_composition(diagram_of(parts), ("weierstrass", "injectivity"))
     assert extracted == []
 
 
@@ -717,7 +716,7 @@ def test_verifying_every_composition_of_9_extracts_one_generator_per_interval_ke
     monkeypatch.setattr(invariants, "extract_invariant", counting)
     keys = set()
     for parts in compositions_of(9):
-        assert verify_composition(Composition(parts))["pass"], parts
+        assert verify_composition(diagram_of(parts))["pass"], parts
         keys |= {_interval_of(parts, pair)[0] for pair in neighbouring_pairs(diagram_of(parts))}
     assert len(extracted) == len(set(extracted)) == len(keys) == 46
     assert invariant_for.cache_info().currsize == 46
@@ -736,15 +735,15 @@ def test_vanishing_alone_expands_no_generator(monkeypatch, fresh_memos):
         return extract(diagram, pair)
 
     monkeypatch.setattr(invariants, "extract_invariant", counting)
-    cases = [Composition(parts) for n in range(1, 10) for parts in compositions_of(n)]
-    alone = [verify_composition(c, ("vanishing",)) for c in cases]
+    cases = [diagram_of(parts) for n in range(1, 10) for parts in compositions_of(n)]
+    alone = [verify_composition(d, ("vanishing",)) for d in cases]
     assert extracted == []
-    for c, report in zip(cases, alone):
-        everything = verify_composition(c)
-        assert [t["vanishing"] for t in report["tableaux"]] == [t["vanishing"] for t in everything["tableaux"]], c
+    for d, report in zip(cases, alone):
+        everything = verify_composition(d)
+        assert [t["vanishing"] for t in report["tableaux"]] == [t["vanishing"] for t in everything["tableaux"]], d.parts
 
 
 @pytest.mark.parametrize("parts, modes", [((5, 3, 5), ["randomized"]), ((4, 1, 2, 2, 4), ["randomized", "symbolic"])])
 def test_past_bound_composition_passes(parts, modes):
-    report = verify_composition(Composition(parts))
+    report = verify_composition(diagram_of(parts))
     assert report["pass"] and report["engineModes"] == modes

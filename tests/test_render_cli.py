@@ -116,13 +116,22 @@ def test_usage_errors():
 @pytest.mark.parametrize("checks", ["vanishing,vanishing", "covering,dimension,covering"])
 def test_repeated_checks_are_rejected(tmp_path, checks):
     from nilfibre.conformance import verify_composition
-    from nilfibre.core import Composition
+    from nilfibre.core import diagram_of
 
     out = tmp_path / "report"
     assert main(["verify", "--composition", "2,1,1,2", "--checks", checks, "--out", str(out)]) == 1
     assert not out.exists()
     with pytest.raises(ValueError, match="repeated"):
-        verify_composition(Composition((2, 1, 1, 2)), tuple(checks.split(",")))
+        verify_composition(diagram_of((2, 1, 1, 2)), tuple(checks.split(",")))
+
+
+def test_unknown_checks_are_invalid_input():
+    # one validator serves the CLI and the library
+    from nilfibre.conformance import verify_composition
+    from nilfibre.core import InvalidInput, diagram_of
+
+    with pytest.raises(InvalidInput, match="unknown checks"):
+        verify_composition(diagram_of((2, 1)), ("bogus",))
 
 
 @pytest.mark.parametrize(
@@ -172,13 +181,24 @@ def test_symbolic_max_n_is_not_an_option(tmp_path, argv):
         ["sweep", "--n", "3", "--threads", "0"],
         ["sweep", "--n", "3", "--threads", "-4"],
         ["verify", "--composition", "2,1", "--threads", "0"],
+        ["verify", "--composition", "2,1", "--seed", "1_0"],
+        ["verify", "--composition", "2,1", "--seed", "\u0663"],
+        ["verify", "--composition", "2,1", "--seed", "1.5"],
     ],
 )
-def test_bad_bounds_are_usage_errors(argv):
+def test_bad_bounds_are_usage_errors(argv, tmp_path):
     # rejected while parsing, before any work or worker pool starts
+    out = tmp_path / "out"
     with pytest.raises(SystemExit):
         build_parser().parse_args(argv)
-    assert main(argv) == 1
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_negative_seed_is_written_as_given(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--composition", "2,1", "--checks", "orbital", "--seed", "-3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == -3
 
 
 @pytest.mark.parametrize("cpus, requested, expected", [(2, 64, 2), (2, 2, 2), (4, 1, 1), (None, 8, 1)])
@@ -376,6 +396,40 @@ def test_sweep_rejects_a_file_as_out_before_verifying(tmp_path, monkeypatch):
     taken.write_text("not a directory\n")
     assert main(["sweep", "--n", "8", "--out", str(taken)]) == 1
     assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize(
+    "work, argv",
+    [
+        ("verify_composition", ["verify", "--composition", "2,1"]),
+        ("component_tableaux", ["enumerate", "--composition", "2,1"]),
+    ],
+    ids=["verify", "enumerate"],
+)
+def test_a_bad_out_fails_before_any_work(work, argv, tmp_path, monkeypatch):
+    from nilfibre import cli
+
+    calls = []
+    run = getattr(cli, work)
+    monkeypatch.setattr(cli, work, lambda *args, **kwargs: calls.append(args) or run(*args, **kwargs))
+    assert main(argv + ["--out", str(tmp_path / "missing" / "r.json")]) == 1
+    assert calls == []
+
+
+def test_perfbench_sweep_timer_reads_n_off_the_verified_argument(monkeypatch):
+    # perfbench/worker.py times a sweep by wrapping verify_composition and
+    # reading .n off its first argument; it is loaded here from its file
+    import importlib.util
+
+    from nilfibre import conformance
+
+    spec = importlib.util.spec_from_file_location("perfbench_worker", Path(__file__).parents[1] / "perfbench" / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    times = []
+    monkeypatch.setattr(conformance, "verify_composition", worker._timing_wrapper(conformance.verify_composition, times, 4))
+    assert main(["sweep", "--n", "4", "--checks", "all", "--seed", "0"]) == 0
+    assert len(times) == 8
 
 
 def test_sweep_that_raises_leaves_only_complete_files(tmp_path, monkeypatch):

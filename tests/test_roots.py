@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from nilfibre import roots as roots_module
 from nilfibre.builder import component_tableaux
 from nilfibre.conformance import compositions_of, verify_composition
-from nilfibre.core import Composition
 from nilfibre.core import (
     ConstructionViolation,
     InvalidInput,
@@ -196,7 +195,7 @@ def test_exclusions_derived_once_per_move(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(roots_module, "_generator_exclusions", counted)
-    report = verify_composition(Composition(parts))
+    report = verify_composition(diagram_of(parts))
     assert report["pass"]
     assert len(calls) == moves
 
