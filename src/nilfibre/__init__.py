@@ -9,7 +9,6 @@ from .core import (
     InvalidInput,
     NeighbouringPair,
     boxes_below_band,
-    diagram_of,
     neighbouring_pairs,
     true_degree,
 )

@@ -39,7 +39,6 @@ from .core import (
     Diagram,
     NeighbouringPair,
     Pos,
-    diagram_of,
     neighbouring_pairs,
     surrounding_pair,
 )
@@ -268,7 +267,6 @@ def extend_all(diagram: Diagram) -> tuple[tuple[Columns, tuple[Move, ...]], ...]
     return tuple(results)
 
 
-def component_tableaux(parts: tuple[int, ...]) -> tuple[ComponentTableau, ...]:
-    """Every component tableau of a composition given by its parts."""
-    diagram = diagram_of(parts)
+def component_tableaux(diagram: Diagram) -> tuple[ComponentTableau, ...]:
+    """Every component tableau of the diagram's composition."""
     return tuple(ComponentTableau(diagram, columns, moves) for columns, moves in extend_all(diagram))

@@ -19,7 +19,7 @@ from typing import TextIO
 
 from .builder import component_tableaux
 from .conformance import ALL_CHECKS, SCHEMA_VERSION, sweep, validate_checks, verify_composition
-from .core import InvalidInput, diagram_of, parse_composition
+from .core import Diagram, InvalidInput, parse_composition
 from .render import latex_component, latex_matrix, render_component, render_matrix
 from .roots import excluded_roots
 
@@ -70,10 +70,10 @@ def _write_json(payload, out: str | None) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    diagram = diagram_of(parse_composition(args.composition))
+    diagram = Diagram(parse_composition(args.composition))
     # a bad --out fails here, before any tableau is built
     with _output(args.out) as handle:
-        tableaux = component_tableaux(diagram.parts)
+        tableaux = component_tableaux(diagram)
         if args.format == "json":
             payload = {
                 "schemaVersion": SCHEMA_VERSION,
@@ -117,7 +117,7 @@ def _parse_checks(text: str) -> tuple[str, ...]:
 
 
 def cmd_verify(args) -> int:
-    diagram = diagram_of(parse_composition(args.composition))
+    diagram = Diagram(parse_composition(args.composition))
     checks = _parse_checks(args.checks)
     # a bad --out fails here, before any check runs
     with _output(args.out) as handle:
@@ -222,8 +222,9 @@ def _positive_int(text: str) -> int:
 
 
 def _thread_count(text: str) -> int:
-    """A positive worker count, clamped to the available CPUs."""
-    return min(_positive_int(text), os.cpu_count() or 1)
+    """A positive worker count, clamped to the CPUs this process may run on."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(_positive_int(text), usable)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,7 +17,7 @@ from .analysis import (
     tangent_dimension,
 )
 from .builder import component_tableaux
-from .core import Diagram, InvalidInput, diagram_of
+from .core import Diagram, InvalidInput
 from .invariants import vanishing_check, weierstrass_check
 from .roots import excluded_roots
 
@@ -48,7 +48,7 @@ def verify_composition(
     composition."""
     validate_checks(checks)
     parts = diagram.parts
-    tableaux = component_tableaux(parts)
+    tableaux = component_tableaux(diagram)
     report: dict = {
         "schemaVersion": SCHEMA_VERSION,
         "composition": list(parts),
@@ -153,4 +153,4 @@ def sweep(
 
 def _verify_job(args) -> dict:
     parts, checks, seed = args
-    return verify_composition(diagram_of(parts), checks, seed)
+    return verify_composition(Diagram(parts), checks, seed)

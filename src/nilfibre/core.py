@@ -9,12 +9,12 @@ factor and are discarded throughout.
 
 A composition is its ``Diagram``: ``Diagram(parts)`` checks the parts, fills
 the columns and derives the boxes, the nilradical and the neighbouring pairs.
+Each caller builds a composition's diagram once and passes that object on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import accumulate
 
 Pos = tuple[int, int]
@@ -65,7 +65,8 @@ class Diagram:
     _surrounding: dict[tuple[int, int], NeighbouringPair] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        parts = self.parts
+        # the parts are the equality and hash key, so a list is kept as a tuple
+        parts = tuple(self.parts)
         if not parts:
             raise InvalidInput("composition needs at least one part")
         if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in parts):
@@ -86,6 +87,7 @@ class Diagram:
         )
         # Pairs of one height cover disjoint runs of adjacent columns.
         surrounding = {(p.height, c): p for p in pairs for c in range(p.left, p.right)}
+        object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "_boxes", boxes)
         object.__setattr__(self, "_nilradical", nilradical)
@@ -145,15 +147,6 @@ class NeighbouringPair:
 
     def __str__(self) -> str:
         return f"(C{self.left + 1},C{self.right + 1};s={self.height})"
-
-
-def diagram_of(parts: tuple[int, ...]) -> Diagram:
-    return _diagram_cached(tuple(parts))
-
-
-@lru_cache(maxsize=16)  # a sweep reads one composition's diagram at a time
-def _diagram_cached(parts: tuple[int, ...]) -> Diagram:
-    return Diagram(parts)
 
 
 def neighbouring_pairs(diagram: Diagram) -> tuple[NeighbouringPair, ...]:

@@ -8,7 +8,7 @@ from nilfibre import invariants
 from nilfibre.analysis import jordan_type, orbit_dimension
 from nilfibre.builder import component_tableaux
 from nilfibre.conformance import compositions_of, verify_composition
-from nilfibre.core import diagram_of, neighbouring_pairs, true_degree
+from nilfibre.core import Diagram, neighbouring_pairs, true_degree
 from nilfibre.invariants import extract_invariant, invariant_for, invariant_variable_disjointness, symbolic_minor
 from nilfibre.poly import Poly
 from nilfibre.roots import excluded_roots, hatted_tableau
@@ -27,12 +27,12 @@ def poly_of(monomials):
 def every_tableau(max_n):
     for n in range(1, max_n + 1):
         for parts in compositions_of(n):
-            for ct in component_tableaux(parts):
+            for ct in component_tableaux(Diagram(parts)):
                 yield parts, ct
 
 
 def test_criterion_1_invariant_formula():
-    d = diagram_of((1, 2, 1))
+    d = Diagram((1, 2, 1))
     pair = neighbouring_pairs(d)[0]
     minor = symbolic_minor(d, pair)
     record = extract_invariant(d, pair)
@@ -57,19 +57,19 @@ def test_criterion_2_tableau_counts():
         (2, 1, 1, 2): 2,
     }
     for parts, count in expected.items():
-        assert len(component_tableaux(parts)) == count, parts
+        assert len(component_tableaux(Diagram(parts))) == count, parts
     report(2, "tableau counts 2,3,3,5,6,2 reproduced")
 
 
 def test_criterion_3_excluded_roots():
     canonical = next(
-        ct for ct in component_tableaux((2, 1, 1, 2)) if ct.v_support == {(3, 4), (3, 6)}
+        ct for ct in component_tableaux(Diagram((2, 1, 1, 2))) if ct.v_support == {(3, 4), (3, 6)}
     )
     assert excluded_roots(canonical).excluded == {(3, 4), (3, 6), (4, 6)}
 
     from nilfibre.roots import excluded_from_word, shifted_tableau
 
-    d = diagram_of((1, 2, 2, 1, 3, 2))
+    d = Diagram((1, 2, 2, 1, 3, 2))
     shifted = shifted_tableau(d, 8, (11,))
     exclusions = excluded_from_word(shifted.word(), d)
     assert {p for p in exclusions if p[1] == 9} == {(4, 9), (5, 9), (6, 9)}
@@ -85,7 +85,7 @@ def test_criterion_3_excluded_roots():
         for m in golden["matrices"]
     ]
     got = []
-    for ct in component_tableaux(tuple(golden["composition"])):
+    for ct in component_tableaux(Diagram(tuple(golden["composition"]))):
         got.append(
             {
                 "stars": set(ct.v_support),
@@ -102,7 +102,7 @@ def test_criterion_3_excluded_roots():
 def test_criterion_4_jordan_types():
     dim_n = 21  # strictly upper triangular positions of sl(7)
     choices = {}
-    for ct in component_tableaux((2, 1, 1, 1, 2)):
+    for ct in component_tableaux(Diagram((2, 1, 1, 1, 2))):
         pair = [p for p in neighbouring_pairs(ct.diagram) if p.height == 2][0]
         mat = [[0] * 7 for _ in range(7)]
         for i, j in ct.e_support:
@@ -121,7 +121,7 @@ def verified(max_n, check):
     reports = []
     for n in range(1, max_n + 1):
         for parts in compositions_of(n):
-            result = verify_composition(diagram_of(parts), (check,))
+            result = verify_composition(Diagram(parts), (check,))
             assert result["pass"], (parts, check)
             reports.append(result)
     assert len(reports) == 2**max_n - 1
@@ -138,7 +138,7 @@ def test_criterion_5_vanishing_sweep(monkeypatch):
     spot = [(2, 1, 2, 1, 2, 2), (1, 3, 1, 3, 1, 1), (3, 2, 1, 1, 2, 2), (2, 1, 2, 1, 2, 1, 2)]
     for parts in spot:
         assert sum(parts) in (10, 11)
-        result = verify_composition(diagram_of(parts), ("vanishing",))
+        result = verify_composition(Diagram(parts), ("vanishing",))
         assert result["pass"], parts
         assert result["engineModes"] == ["randomized", "symbolic"], parts
     report(5, f"global and specific vanishing on {instances} tableaux (n<=9) plus randomized spot checks")
@@ -181,5 +181,5 @@ def test_criterion_11_partition_disjointness():
         for parts in compositions_of(n):
             if tuple(sorted(parts, reverse=True)) != parts:
                 continue
-            assert invariant_variable_disjointness(diagram_of(parts)), parts
+            assert invariant_variable_disjointness(Diagram(parts)), parts
     report(11, "partition-shaped compositions have generators in disjoint variables (n<=8)")

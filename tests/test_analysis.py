@@ -18,7 +18,7 @@ from nilfibre.analysis import (
 )
 from nilfibre.builder import ComponentTableau, component_tableaux
 from nilfibre.conformance import compositions_of, verify_composition
-from nilfibre.core import InternalConsistencyError, InvalidInput, diagram_of, interval_entries, neighbouring_pairs
+from nilfibre.core import Diagram, InternalConsistencyError, InvalidInput, interval_entries, neighbouring_pairs
 from nilfibre.invariants import (
     SYMBOLIC_MAX_N,
     invariant_for,
@@ -34,7 +34,7 @@ compositions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple)
 
 
 def by_stars(parts, stars):
-    matches = [ct for ct in component_tableaux(parts) if ct.v_support == frozenset(stars)]
+    matches = [ct for ct in component_tableaux(Diagram(parts)) if ct.v_support == frozenset(stars)]
     assert len(matches) == 1
     return matches[0]
 
@@ -63,14 +63,14 @@ def test_covering_superfluous_secondary():
 
 
 def test_covering_vacuous():
-    (ct,) = component_tableaux((3, 2, 1))
+    (ct,) = component_tableaux(Diagram((3, 2, 1)))
     report = covering_check(ct, excluded_roots(ct))
     assert report.ok and not report.uncovered
 
 
 def test_covering_small_sweep(small_compositions):
     for parts in small_compositions:
-        for ct in component_tableaux(parts):
+        for ct in component_tableaux(Diagram(parts)):
             report = covering_check(ct, excluded_roots(ct))
             assert report.ok and report.labels_ok and report.unique_row_cover, parts
 
@@ -85,7 +85,7 @@ def test_tangent_2112():
 
 
 def test_tangent_trivial():
-    (ct,) = component_tableaux((3, 2, 1))
+    (ct,) = component_tableaux(Diagram((3, 2, 1)))
     report = tangent_dimension(ct, excluded_roots(ct))
     assert report.generators == 0
     assert report.rank_u_plus_ne == report.dim_nilradical
@@ -93,7 +93,7 @@ def test_tangent_trivial():
 
 
 def test_tangent_21112_all_three():
-    for ct in component_tableaux((2, 1, 1, 1, 2)):
+    for ct in component_tableaux(Diagram((2, 1, 1, 1, 2))):
         report = tangent_dimension(ct, excluded_roots(ct))
         assert report.rank_u_plus_ne == report.dim_nilradical - 3
         assert report.ok
@@ -101,7 +101,7 @@ def test_tangent_21112_all_three():
 
 def test_tangent_small_sweep(small_compositions):
     for parts in small_compositions:
-        for ct in component_tableaux(parts):
+        for ct in component_tableaux(Diagram(parts)):
             assert tangent_dimension(ct, excluded_roots(ct)).ok, parts
 
 
@@ -154,7 +154,7 @@ def test_tangent_ranks_match_stacked_route():
     # one with a star moved into U, so the False branches are compared too
     outcomes = set()
     for parts in (p for n in range(1, 10) for p in compositions_of(n)):
-        for ct in component_tableaux(parts):
+        for ct in component_tableaux(Diagram(parts)):
             roots = excluded_roots(ct)
             nilradical = ct.diagram.nilradical_positions()
             cases = [(ct, roots), (relabelled(ct, v_support=nilradical), roots)]
@@ -231,13 +231,13 @@ def test_jordan_type_matches_powers_route_on_orbital_samples(monkeypatch):
 
     monkeypatch.setattr(analysis, "jordan_type", checked)
     for parts in (p for n in range(1, 10) for p in compositions_of(n)):
-        verify_composition(diagram_of(parts), checks=("orbital",), seed=0)
+        verify_composition(Diagram(parts), checks=("orbital",), seed=0)
     assert len(seen) > 1000 and len(set(seen)) > 20
 
 
 def test_jordan_of_e_matches_jordan_type():
     for parts in (p for n in range(1, 10) for p in compositions_of(n)):
-        for ct in component_tableaux(parts):
+        for ct in component_tableaux(Diagram(parts)):
             report = tangent_dimension(ct, excluded_roots(ct))
             assert report.jordan_of_e == jordan_type(one_matrix(ct.diagram.n, ct.e_support)), parts
 
@@ -255,17 +255,17 @@ def test_dimension_and_orbital_checks_skip_dense_elimination(monkeypatch):
     for name in calls:
         counted(name, getattr(analysis, name))
     for parts in (p for n in range(1, 9) for p in compositions_of(n)):
-        for ct in component_tableaux(parts):
+        for ct in component_tableaux(Diagram(parts)):
             tangent_dimension(ct, excluded_roots(ct))
     assert calls == {"exact_rank": 0, "row_basis": 0, "jordan_type": 0}
-    verify_composition(diagram_of((2, 1, 2, 1, 2, 1)))
+    verify_composition(Diagram((2, 1, 2, 1, 2, 1)))
     assert calls["jordan_type"] > 0
     assert calls["exact_rank"] == calls["jordan_type"]
 
 
 def test_jordan_types_21112():
     # chains (1,3,5,6),(2,4),(7) against (3,2,2) for the middle choice
-    ts = component_tableaux((2, 1, 1, 1, 2))
+    ts = component_tableaux(Diagram((2, 1, 1, 1, 2)))
     types = {}
     for ct in ts:
         entry = ct.pair_entry()[[p for p in neighbouring_pairs(ct.diagram) if p.height == 2][0]]
@@ -289,7 +289,7 @@ def test_jordan_rejects_non_strict():
 
 def test_orbital_21112():
     statuses = []
-    for ct in component_tableaux((2, 1, 1, 1, 2)):
+    for ct in component_tableaux(Diagram((2, 1, 1, 1, 2))):
         report = orbital_variety_test(ct, excluded_roots(ct), rng=Random(0))
         statuses.append(report.status)
         if report.status == "orbital":
@@ -298,7 +298,7 @@ def test_orbital_21112():
 
 
 def test_orbital_trivial():
-    (ct,) = component_tableaux((1,))
+    (ct,) = component_tableaux(Diagram((1,)))
     assert orbital_variety_test(ct, excluded_roots(ct), rng=Random(0)).status == "trivial"
 
 
@@ -335,7 +335,7 @@ def witness_of(a, b):
 
 
 def test_injectivity_2112():
-    a, b = component_tableaux((2, 1, 1, 2))
+    a, b = component_tableaux(Diagram((2, 1, 1, 2)))
     w = witness_of(a, b)
     assert w.ok
     assert w.exchanged == (2, 3)
@@ -344,8 +344,8 @@ def test_injectivity_2112():
 
 def test_injectivity_321321():
     parts = (3, 2, 1, 3, 2, 1)
-    pair = [p for p in neighbouring_pairs(diagram_of(parts)) if p.height == 2][0]
-    ts = component_tableaux(parts)
+    pair = [p for p in neighbouring_pairs(Diagram(parts)) if p.height == 2][0]
+    ts = component_tableaux(Diagram(parts))
     c5 = next(t for t in ts if t.pair_entry()[pair] == 5)
     c8 = next(t for t in ts if t.pair_entry()[pair] == 8)
     w = witness_of(c5, c8)
@@ -355,8 +355,8 @@ def test_injectivity_321321():
 
 def test_injectivity_321312():
     parts = (3, 2, 1, 3, 1, 2)
-    pair = [p for p in neighbouring_pairs(diagram_of(parts)) if p.height == 2][0]
-    ts = component_tableaux(parts)
+    pair = [p for p in neighbouring_pairs(Diagram(parts)) if p.height == 2][0]
+    ts = component_tableaux(Diagram(parts))
     c5 = next(t for t in ts if t.pair_entry()[pair] == 5)
     c8 = next(t for t in ts if t.pair_entry()[pair] == 8)
     w = witness_of(c5, c8)
@@ -365,14 +365,14 @@ def test_injectivity_321312():
 
 
 def test_injectivity_rejects_same_data():
-    a, b = component_tableaux((2, 1, 1, 2))
+    a, b = component_tableaux(Diagram((2, 1, 1, 2)))
     with pytest.raises(InvalidInput):
         witness_of(a, a)
 
 
 def test_injectivity_small_sweep(small_compositions):
     for parts in small_compositions:
-        ts = component_tableaux(parts)
+        ts = component_tableaux(Diagram(parts))
         for a, b in combinations(ts, 2):
             assert witness_of(a, b).ok, parts
 
@@ -420,7 +420,7 @@ def test_injectivity_matches_the_recomputed_route(monkeypatch, bound):
     cases = [parts for n in range(1, 10) for parts in compositions_of(n)] + [(3, 1, 2, 2, 3), (2, 1, 1, 5, 2)]
     compared, past = 0, 0
     for parts in cases:
-        ts = component_tableaux(parts)
+        ts = component_tableaux(Diagram(parts))
         for a, b in combinations(ts, 2):
             w = witness_of(a, b)
             assert w == _recomputed_witness(a, b), (parts, a, b)
@@ -435,17 +435,32 @@ def test_injectivity_alone_reports_what_all_checks_report(monkeypatch, bound):
     monkeypatch.setattr(invariants, "SYMBOLIC_MAX_N", bound)
     for n in range(1, 9):
         for parts in compositions_of(n):
-            d = diagram_of(parts)
+            d = Diagram(parts)
             alone = verify_composition(d, ("injectivity",))
             everything = verify_composition(d)
             assert alone["injectivityPairs"] == everything["injectivityPairs"], parts
+
+
+def test_check_results_follow_the_neighbouring_pair_order():
+    # injectivity_witness reads both checks' results by each pair's index in
+    # neighbouring_pairs(diagram)
+    checked = 0
+    for n in range(1, 10):
+        for parts in compositions_of(n):
+            d = Diagram(parts)
+            pairs = list(neighbouring_pairs(d))
+            for ct in component_tableaux(d):
+                assert [r.pair for r in vanishing_check(ct, excluded_roots(ct)).results] == pairs, parts
+                assert [r.pair for r in weierstrass_check(ct).results] == pairs, parts
+                checked += 1
+    assert checked == 678
 
 
 def test_injectivity_reads_results_and_recomputes_nothing(monkeypatch):
     from nilfibre import roots
 
     parts = (2, 1, 2, 1, 2, 1)
-    ts = component_tableaux(parts)
+    ts = component_tableaux(Diagram(parts))
     vanishings = [vanishing_check(ct, excluded_roots(ct)) for ct in ts]
     sections = [weierstrass_check(ct) for ct in ts]
 
@@ -464,7 +479,7 @@ def test_injectivity_reads_results_and_recomputes_nothing(monkeypatch):
 def test_partition_disjoint_variables(small_compositions):
     for parts in small_compositions:
         if tuple(sorted(parts, reverse=True)) == parts:
-            assert invariant_variable_disjointness(diagram_of(parts)), parts
+            assert invariant_variable_disjointness(Diagram(parts)), parts
 
 
 def test_disjointness_extracts_one_generator_per_interval_key(fresh_memos):
@@ -472,14 +487,14 @@ def test_disjointness_extracts_one_generator_per_interval_key(fresh_memos):
     # so every composition of n <= 9 leaves one record per interval key
     for n in range(1, 10):
         for parts in compositions_of(n):
-            invariant_variable_disjointness(diagram_of(parts))
+            invariant_variable_disjointness(Diagram(parts))
     assert invariant_for.cache_info().currsize == 46
 
 
 @given(compositions)
 @settings(max_examples=25, deadline=None)
 def test_dimension_report_consistency(parts):
-    for ct in component_tableaux(parts):
+    for ct in component_tableaux(Diagram(parts)):
         report = tangent_dimension(ct, excluded_roots(ct))
         assert report.ok
         assert report.rank_u_plus_ne + len(ct.v_support) == report.dim_nilradical

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from nilfibre import builder
 from nilfibre.builder import ONE, ComponentTableau, component_tableaux, extend_all
 from nilfibre.conformance import compositions_of
-from nilfibre.core import ConstructionViolation, diagram_of, neighbouring_pairs
+from nilfibre.core import ConstructionViolation, Diagram, neighbouring_pairs
 from nilfibre.roots import excluded_roots
 
 compositions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple)
@@ -26,7 +26,7 @@ def trail(ct, entry):
 
 
 def by_stars(parts, stars):
-    matches = [ct for ct in component_tableaux(parts) if ct.v_support == frozenset(stars)]
+    matches = [ct for ct in component_tableaux(Diagram(parts)) if ct.v_support == frozenset(stars)]
     assert len(matches) == 1, f"no unique tableau of {parts} with stars {stars}"
     return matches[0]
 
@@ -48,11 +48,11 @@ def by_stars(parts, stars):
     ],
 )
 def test_enumeration_counts(parts, count):
-    assert len(extend_all(diagram_of(parts))) == count
+    assert len(extend_all(Diagram(parts))) == count
 
 
 def test_tableau_totals_per_n():
-    totals = [sum(len(extend_all(diagram_of(parts))) for parts in compositions_of(n)) for n in range(1, 13)]
+    totals = [sum(len(extend_all(Diagram(parts))) for parts in compositions_of(n)) for n in range(1, 13)]
     assert totals == [1, 2, 4, 8, 16, 36, 76, 165, 370, 839, 1923, 4493]
 
 
@@ -99,14 +99,14 @@ def counted_families(max_n):
 def test_periodic_family_counts():
     members = list(counted_families(18))
     assert len(members) == 48
-    wrong = [(parts, count, found) for parts, count in members if (found := len(extend_all(diagram_of(parts)))) != count]
+    wrong = [(parts, count, found) for parts, count in members if (found := len(extend_all(Diagram(parts)))) != count]
     assert not wrong
 
 
 def test_pruned_search_matches_unpruned(monkeypatch):
     # With no pair forced, the search clones every branch, stranding ones
     # included, and runs the free-pair guard at each of their nodes.
-    diagrams = [diagram_of(parts) for n in range(1, 12) for parts in compositions_of(n)]
+    diagrams = [Diagram(parts) for n in range(1, 12) for parts in compositions_of(n)]
     pruned = [extend_all(diagram) for diagram in diagrams]
     subsets = builder._subsets
     monkeypatch.setattr(builder, "_subsets", lambda moves, forced: subsets(moves, set()))
@@ -126,12 +126,12 @@ def test_search_skips_stranding_branches(monkeypatch):
 
     monkeypatch.setattr(builder, "_candidates", counted)
     for parts in compositions_of(10):
-        extend_all(diagram_of(parts))
+        extend_all(Diagram(parts))
     assert calls == 3191
 
 
 def test_canonical_tableau_121():
-    (ct,) = component_tableaux((1, 2, 1))
+    (ct,) = component_tableaux(Diagram((1, 2, 1)))
     assert ct.v_support == {(2, 4)}
     assert ct.e_support == {(1, 2), (3, 4)}
     assert ct.lines() == [("*", 2, 4), ("1", 1, 2), ("1", 3, 4)]
@@ -151,7 +151,7 @@ def test_decorate_1212_lower():
 
 def test_decorate_11():
     # (1,1) has one neighbouring pair, hence one star and no ones
-    (ct,) = component_tableaux((1, 1))
+    (ct,) = component_tableaux(Diagram((1, 1)))
     assert ct.v_support == {(1, 2)}
     assert ct.e_support == set()
 
@@ -165,7 +165,7 @@ def test_decorate_21121_bottom():
 
 
 def test_21121_star_sets():
-    got = {frozenset(ct.v_support) for ct in component_tableaux((2, 1, 1, 2, 1))}
+    got = {frozenset(ct.v_support) for ct in component_tableaux(Diagram((2, 1, 1, 2, 1)))}
     assert got == {
         frozenset({(3, 4), (5, 7), (2, 4)}),
         frozenset({(3, 4), (5, 7), (3, 6)}),
@@ -181,7 +181,7 @@ def test_collapse_2112_canonical():
 
 
 def test_collapse_identity_for_trivial():
-    (ct,) = component_tableaux((3, 2, 1))
+    (ct,) = component_tableaux(Diagram((3, 2, 1)))
     assert ct.v_support == set()
     assert ct.e_support == {(1, 4), (2, 5), (4, 6)}
 
@@ -211,14 +211,14 @@ def test_choice_json_schema():
 @given(compositions)
 @settings(max_examples=40, deadline=None)
 def test_star_count_equals_pair_count(parts):
-    for ct in component_tableaux(parts):
+    for ct in component_tableaux(Diagram(parts)):
         assert len(ct.v_support) == len(neighbouring_pairs(ct.diagram))
 
 
 @given(compositions)
 @settings(max_examples=40, deadline=None)
 def test_every_pair_used_exactly_once(parts):
-    for ct in component_tableaux(parts):
+    for ct in component_tableaux(Diagram(parts)):
         used = [p for m in ct.moves for p in m.pairs]
         assert sorted(map(str, used)) == sorted(map(str, neighbouring_pairs(ct.diagram)))
         assert len(set(used)) == len(used)
@@ -233,7 +233,7 @@ def test_every_pair_used_exactly_once(parts):
 @settings(max_examples=40, deadline=None)
 def test_non_crossing_strings(parts):
     # strings sharing two columns keep their vertical order in both
-    for ct in component_tableaux(parts):
+    for ct in component_tableaux(Diagram(parts)):
         occ = {e: dict(trail(ct, e)) for e in range(1, ct.diagram.n + 1)}
         entries = list(occ)
         for a in range(len(entries)):
@@ -248,7 +248,7 @@ def test_non_crossing_strings(parts):
 @settings(max_examples=40, deadline=None)
 def test_starting_places(parts):
     # if one string runs below another in a shared column it started weakly left
-    for ct in component_tableaux(parts):
+    for ct in component_tableaux(Diagram(parts)):
         occ = {e: dict(trail(ct, e)) for e in range(1, ct.diagram.n + 1)}
         for e1 in occ:
             for e2 in occ:
@@ -264,7 +264,7 @@ def test_starting_places(parts):
 def test_one_lines_injective(parts):
     # no two ones share a row or a column: the one-matrix is a partial
     # permutation, as tangent_dimension assumes
-    for ct in component_tableaux(parts):
+    for ct in component_tableaux(Diagram(parts)):
         rows = [i for i, _ in ct.e_support]
         cols = [j for _, j in ct.e_support]
         assert len(set(rows)) == len(rows)
@@ -274,7 +274,7 @@ def test_one_lines_injective(parts):
 @given(compositions)
 @settings(max_examples=40, deadline=None)
 def test_distinct_data_distinct_tableaux(parts):
-    tableaux = component_tableaux(parts)
+    tableaux = component_tableaux(Diagram(parts))
     seen = set()
     for ct in tableaux:
         key = tuple(sorted((str(p), e) for p, e in ct.pair_entry().items()))
@@ -287,7 +287,7 @@ def test_distinct_data_distinct_tableaux(parts):
 @given(compositions)
 @settings(max_examples=40, deadline=None)
 def test_extended_column_entries_distinct(parts):
-    for ct in component_tableaux(parts):
+    for ct in component_tableaux(Diagram(parts)):
         for col in ct.columns:
             assert len(set(col)) == len(col)
 
@@ -300,7 +300,7 @@ def test_each_entry_holds_a_run_of_columns_from_its_own():
     checked = 0
     for n in range(1, 10):
         for parts in compositions_of(n):
-            diagram = diagram_of(parts)
+            diagram = Diagram(parts)
             for columns, _ in extend_all(diagram):
                 for entry in range(1, n + 1):
                     held = [c for c, col in enumerate(columns) if entry in col]
@@ -314,7 +314,7 @@ def test_free_pair_always_has_choice():
     # enumeration raises if a free pair has no move at its own stage
     for n in range(1, 7):
         for parts in compositions_of(n):
-            component_tableaux(parts)
+            component_tableaux(Diagram(parts))
 
 
 def with_star_targets(columns, moves, entry, targets):
@@ -336,13 +336,13 @@ def with_star_targets(columns, moves, entry, targets):
     ],
 )
 def test_collapse_rejects_a_faulty_limit_tableau(faulty, match):
-    diagram = diagram_of((1, 2, 1))
+    diagram = Diagram((1, 2, 1))
     ((columns, moves),) = extend_all(diagram)
     with pytest.raises(ConstructionViolation, match=match):
         ComponentTableau(diagram, *faulty(columns, moves))
 
 
-def collapsed(diagram, columns, moves):
+def derived_separately(diagram, columns, moves):
     """The reference route: the supports and each pair's consuming entry,
     derived by a pass of their own over the limit tableau and its moves, the
     stars from the moves and the ones from each entry's last copy."""
@@ -359,10 +359,10 @@ def test_constructor_derives_what_a_separate_pass_did():
     checked = 0
     for n in range(1, 10):
         for parts in compositions_of(n):
-            diagram = diagram_of(parts)
+            diagram = Diagram(parts)
             for columns, moves in extend_all(diagram):
                 ct = ComponentTableau(diagram, columns, moves)
-                assert (ct.e_support, ct.v_support, ct.pair_entry()) == collapsed(diagram, columns, moves), (parts, moves)
+                assert (ct.e_support, ct.v_support, ct.pair_entry()) == derived_separately(diagram, columns, moves), (parts, moves)
                 checked += 1
     assert checked == 678
 
@@ -384,7 +384,7 @@ def test_trails_match_a_scan_of_the_moves():
     checked = 0
     for n in range(1, 10):
         for parts in compositions_of(n):
-            for ct in component_tableaux(parts):
+            for ct in component_tableaux(Diagram(parts)):
                 for pair in neighbouring_pairs(ct.diagram):
                     trail = ct.trail(pair)
                     assert (trail, trail[-1].stage + 1) == scanned_trail(ct, pair), (parts, pair)
@@ -395,7 +395,7 @@ def test_trails_match_a_scan_of_the_moves():
 def forged(parts, name, **changes):
     """A tableau of ``parts`` rebuilt with the move that consumed the named
     pair changed."""
-    ct = component_tableaux(parts)[0]
+    ct = component_tableaux(Diagram(parts))[0]
     (pair,) = [p for p in neighbouring_pairs(ct.diagram) if str(p) == name]
     moves = tuple(replace(m, **changes) if pair in m.pairs else m for m in ct.moves)
     return lambda: ComponentTableau(ct.diagram, ct.columns, moves)
@@ -418,14 +418,14 @@ def test_tableau_rejects_a_forged_trail(build, match):
 def test_free_pair_without_a_move_raises(monkeypatch):
     monkeypatch.setattr(builder, "_candidates", lambda *args: [])
     with pytest.raises(ConstructionViolation, match="no admissible choice"):
-        extend_all(diagram_of((1, 1)))
+        extend_all(Diagram((1, 1)))
 
 
 def test_tableaux_are_released_by_their_caller():
     # Nothing in the engine retains a tableau once the caller drops it.  A
     # cache keeps the first of equal keys, so the composition is one that no
     # other test enumerates.
-    ct = component_tableaux((4, 1, 1, 4))[0]
+    ct = component_tableaux(Diagram((4, 1, 1, 4)))[0]
     excluded_roots(ct)
     ct.pair_entry()
     ref = weakref.ref(ct)

@@ -2,13 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilfibre.conformance import compositions_of
+from nilfibre.conformance import compositions_of, verify_composition
 from nilfibre.core import (
     Diagram,
     InvalidInput,
     NeighbouringPair,
     boxes_below_band,
-    diagram_of,
     neighbouring_pairs,
     parse_composition,
     surrounding_pair,
@@ -31,6 +30,14 @@ def test_parse_rejects(bad):
         Diagram(parse_composition(bad))
 
 
+def test_parts_given_as_a_list_are_kept_as_a_tuple():
+    d = Diagram([2, 1, 1, 2])
+    assert d.parts == (2, 1, 1, 2)
+    assert d == Diagram((2, 1, 1, 2)) and hash(d) == hash(Diagram((2, 1, 1, 2)))
+    # the tableaux hold this diagram, and the generator cache is keyed by its parts
+    assert verify_composition(d)["pass"]
+
+
 def test_empty_composition_rejected():
     with pytest.raises(InvalidInput):
         Diagram(())
@@ -42,19 +49,19 @@ def test_bad_parts_rejected(parts):
         Diagram(parts)
 
 
-def test_build_diagram_121():
+def test_diagram_121_columns():
     d = Diagram((1, 2, 1))
     assert d.columns == ((1,), (2, 3), (4,))
 
 
-def test_build_diagram_single_column():
+def test_single_column_diagram_has_no_nilradical():
     d = Diagram((1,))
     assert d.columns == ((1,),)
     assert d.dim_nilradical == 0
     assert not d.nilradical_positions()
 
 
-def test_build_diagram_2112():
+def test_diagram_2112_columns():
     assert Diagram((2, 1, 1, 2)).columns == ((1, 2), (3,), (4,), (5, 6))
 
 
@@ -71,16 +78,16 @@ def test_diagram_fills_its_columns_down_and_left_to_right():
 
 
 def test_pairs_121():
-    d = diagram_of((1, 2, 1))
+    d = Diagram((1, 2, 1))
     assert neighbouring_pairs(d) == (NeighbouringPair(0, 2, 1),)
 
 
 def test_pairs_all_heights_distinct():
-    assert neighbouring_pairs(diagram_of((3, 2, 1))) == ()
+    assert neighbouring_pairs(Diagram((3, 2, 1))) == ()
 
 
 def test_pairs_2112():
-    d = diagram_of((2, 1, 1, 2))
+    d = Diagram((2, 1, 1, 2))
     assert neighbouring_pairs(d) == (
         NeighbouringPair(1, 2, 1),
         NeighbouringPair(0, 3, 2),
@@ -88,22 +95,22 @@ def test_pairs_2112():
 
 
 def test_boxes_below_band():
-    d = diagram_of((1, 2, 1))
+    d = Diagram((1, 2, 1))
     assert boxes_below_band(d, NeighbouringPair(0, 2, 1)) == 1
-    d = diagram_of((2, 2))
+    d = Diagram((2, 2))
     assert boxes_below_band(d, NeighbouringPair(0, 1, 2)) == 0
-    d = diagram_of((2, 1, 1, 2))
+    d = Diagram((2, 1, 1, 2))
     assert boxes_below_band(d, NeighbouringPair(0, 3, 2)) == 0
 
 
 def test_true_degree():
-    assert true_degree(diagram_of((1, 2, 1)), NeighbouringPair(0, 2, 1)) == 2
-    assert true_degree(diagram_of((2, 1, 1, 2)), NeighbouringPair(1, 2, 1)) == 1
-    assert true_degree(diagram_of((2, 2)), NeighbouringPair(0, 1, 2)) == 2
+    assert true_degree(Diagram((1, 2, 1)), NeighbouringPair(0, 2, 1)) == 2
+    assert true_degree(Diagram((2, 1, 1, 2)), NeighbouringPair(1, 2, 1)) == 1
+    assert true_degree(Diagram((2, 2)), NeighbouringPair(0, 1, 2)) == 2
 
 
 def test_rectangle_and_surrounding():
-    d = diagram_of((2, 1, 1, 2))
+    d = Diagram((2, 1, 1, 2))
     pair = NeighbouringPair(0, 3, 2)
     assert surrounding_pair(d, 2, 1) == pair
     assert surrounding_pair(d, 2, 3) is None
@@ -122,7 +129,7 @@ def test_surrounding_pair_matches_linear_scan():
     found = missing = 0
     for n in range(1, 9):
         for parts in compositions_of(n):
-            d = diagram_of(parts)
+            d = Diagram(parts)
             for height in range(1, max(parts) + 2):
                 for adjacent_left in range(len(parts) - 1):
                     expected = _scan_surrounding_pair(d, height, adjacent_left)
@@ -133,7 +140,7 @@ def test_surrounding_pair_matches_linear_scan():
 
 
 def test_matrix_model_membership():
-    d = diagram_of((1, 2, 1))
+    d = Diagram((1, 2, 1))
     assert d.in_nilradical((1, 2))
     assert not d.in_nilradical((2, 3))  # same Levi block
     assert d.dim_nilradical == len(d.nilradical_positions()) == 5
@@ -143,20 +150,20 @@ def test_in_nilradical_is_false_out_of_range_and_agrees_with_the_positions():
     # every position of 1..n, and a border of positions outside it
     for n in range(1, 8):
         for parts in compositions_of(n):
-            d = diagram_of(parts)
+            d = Diagram(parts)
             square = {(i, j) for i in range(-1, n + 3) for j in range(-1, n + 3)}
             assert {pos for pos in square if d.in_nilradical(pos)} == d.nilradical_positions(), parts
 
 
 def test_diagram_json():
-    d = diagram_of((2, 1))
+    d = Diagram((2, 1))
     assert d.to_json() == {"parts": [2, 1], "n": 3, "columns": [[1, 2], [3]]}
 
 
 @given(compositions)
 @settings(max_examples=60, deadline=None)
 def test_dimension_matches_position_count(parts):
-    d = diagram_of(parts)
+    d = Diagram(parts)
     assert d.dim_nilradical == len(d.nilradical_positions())
     pairs = {(i, j) for i in range(1, d.n + 1) for j in range(1, d.n + 1)}
     assert d.nilradical_positions() == {pos for pos in pairs if d.in_nilradical(pos)}
@@ -166,7 +173,7 @@ def test_dimension_matches_position_count(parts):
 @settings(max_examples=60, deadline=None)
 def test_degree_identity(parts):
     # degree + band boxes + height = number of boxes between the pair
-    d = diagram_of(parts)
+    d = Diagram(parts)
     for pair in neighbouring_pairs(d):
         boxes = sum(d.height(c) for c in range(pair.left, pair.right + 1))
         assert true_degree(d, pair) + boxes_below_band(d, pair) + pair.height == boxes
@@ -175,7 +182,7 @@ def test_degree_identity(parts):
 @given(compositions)
 @settings(max_examples=60, deadline=None)
 def test_pair_count_per_height(parts):
-    d = diagram_of(parts)
+    d = Diagram(parts)
     pairs = neighbouring_pairs(d)
     for height in set(parts):
         columns = sum(1 for p in parts if p == height)

@@ -9,13 +9,13 @@ from collections import Counter
 
 from nilfibre.builder import component_tableaux, extend_all
 from nilfibre.conformance import compositions_of, verify_composition
-from nilfibre.core import diagram_of, neighbouring_pairs
+from nilfibre.core import Diagram, neighbouring_pairs
 from nilfibre.invariants import extract_invariant
 
 
 def test_reversed_composition_has_as_many_tableaux():
     counts = {
-        parts: len(extend_all(diagram_of(parts)))
+        parts: len(extend_all(Diagram(parts)))
         for n in range(1, 12)
         for parts in compositions_of(n)
     }
@@ -31,7 +31,7 @@ def test_reversal_carries_generators_onto_the_reversed_composition():
             if parts > parts[::-1]:
                 continue
             k = len(parts)
-            diagram, reversed_diagram = diagram_of(parts), diagram_of(parts[::-1])
+            diagram, reversed_diagram = Diagram(parts), Diagram(parts[::-1])
             mirror = {(p.left, p.right, p.height): p for p in neighbouring_pairs(reversed_diagram)}
             for pair in neighbouring_pairs(diagram):
                 image = mirror[(k - 1 - pair.right, k - 1 - pair.left, pair.height)]
@@ -47,7 +47,7 @@ def test_reversal_keeps_the_multisets_of_invariant_data():
     # of the tableaux may be compared, as multisets: the subspaces themselves
     # do not correspond
     def invariant_data(parts):
-        report = verify_composition(diagram_of(parts), ("dimension", "orbital"))
+        report = verify_composition(Diagram(parts), ("dimension", "orbital"))
         return Counter(
             (
                 tuple(entry["jordanType"]),
@@ -55,7 +55,7 @@ def test_reversal_keeps_the_multisets_of_invariant_data():
                 entry["orbital"]["status"],
                 entry["orbital"]["genericOrbitDim"],
             )
-            for ct, entry in zip(component_tableaux(parts), report["tableaux"], strict=True)
+            for ct, entry in zip(component_tableaux(Diagram(parts)), report["tableaux"], strict=True)
         )
 
     checked = 0

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from nilfibre.builder import component_tableaux
 from nilfibre.conformance import compositions_of, verify_composition
 from nilfibre.core import (
+    Diagram,
     InternalConsistencyError,
     InvalidInput,
     NeighbouringPair,
     boxes_below_band,
-    diagram_of,
     interval_entries,
     neighbouring_pairs,
     true_degree,
@@ -35,13 +35,13 @@ compositions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple)
 
 
 def by_stars(parts, stars):
-    matches = [ct for ct in component_tableaux(parts) if ct.v_support == frozenset(stars)]
+    matches = [ct for ct in component_tableaux(Diagram(parts)) if ct.v_support == frozenset(stars)]
     assert len(matches) == 1
     return matches[0]
 
 
 def the_pair(parts, height, index=0):
-    return [p for p in neighbouring_pairs(diagram_of(parts)) if p.height == height][index]
+    return [p for p in neighbouring_pairs(Diagram(parts)) if p.height == height][index]
 
 
 def poly_of(monomials):
@@ -49,14 +49,14 @@ def poly_of(monomials):
 
 
 def test_minor_121():
-    d = diagram_of((1, 2, 1))
+    d = Diagram((1, 2, 1))
     minor = symbolic_minor(d, the_pair((1, 2, 1), 1))
     # -a(x12 x24 + x13 x34) + a^2 x14
     assert minor == {1: poly_of([(-1, [(1, 2), (2, 4)]), (-1, [(1, 3), (3, 4)])]), 2: poly_of([(1, [(1, 4)])])}
 
 
 def test_invariant_121():
-    d = diagram_of((1, 2, 1))
+    d = Diagram((1, 2, 1))
     rec = extract_invariant(d, the_pair((1, 2, 1), 1))
     assert rec.polynomial == poly_of([(1, [(1, 2), (2, 4)]), (1, [(1, 3), (3, 4)])])
     assert rec.band_boxes == 1
@@ -64,7 +64,7 @@ def test_invariant_121():
 
 
 def test_minor_22_hand_determinant():
-    d = diagram_of((2, 2))
+    d = Diagram((2, 2))
     minor = symbolic_minor(d, the_pair((2, 2), 2))
     want = poly_of([(1, [(1, 3), (2, 4)]), (-1, [(1, 4), (2, 3)])])
     assert minor == {0: want} or minor == {0: -want}
@@ -73,36 +73,36 @@ def test_minor_22_hand_determinant():
 
 
 def test_minor_11_single_cell():
-    d = diagram_of((1, 1))
+    d = Diagram((1, 1))
     rec = extract_invariant(d, the_pair((1, 1), 1))
     assert rec.polynomial == poly_of([(1, [(1, 2)])])
     assert rec.band_boxes == 0 and rec.degree == 1
 
 
 def test_invariant_2112_inner_pair():
-    d = diagram_of((2, 1, 1, 2))
+    d = Diagram((2, 1, 1, 2))
     rec = extract_invariant(d, the_pair((2, 1, 1, 2), 1))
     assert rec.polynomial == poly_of([(1, [(3, 4)])])
     assert rec.degree == 1
 
 
 def test_chain_support_examples():
-    d = diagram_of((1, 2, 1))
+    d = Diagram((1, 2, 1))
     assert chain_support(d, the_pair((1, 2, 1), 1)) == frozenset(
         {frozenset({(1, 2), (2, 4)}), frozenset({(1, 3), (3, 4)})}
     )
-    d = diagram_of((2, 2))
+    d = Diagram((2, 2))
     assert chain_support(d, the_pair((2, 2), 2)) == frozenset(
         {frozenset({(1, 3), (2, 4)}), frozenset({(1, 4), (2, 3)})}
     )
-    d = diagram_of((1, 1))
+    d = Diagram((1, 1))
     assert chain_support(d, the_pair((1, 1), 1)) == frozenset({frozenset({(1, 2)})})
 
 
 @given(compositions)
 @settings(max_examples=25, deadline=None)
 def test_chain_engine_matches_determinant(parts):
-    d = diagram_of(parts)
+    d = Diagram(parts)
     for pair in neighbouring_pairs(d):
         rec = invariant_for(parts, pair)
         assert frozenset(map(frozenset, rec.polynomial.terms)) == chain_support(d, pair)
@@ -111,7 +111,7 @@ def test_chain_engine_matches_determinant(parts):
 @given(compositions)
 @settings(max_examples=25, deadline=None)
 def test_minor_valuation(parts):
-    d = diagram_of(parts)
+    d = Diagram(parts)
     for pair in neighbouring_pairs(d):
         minor = symbolic_minor(d, pair)
         assert min(minor) == boxes_below_band(d, pair)
@@ -119,7 +119,7 @@ def test_minor_valuation(parts):
 
 
 def test_substitute_full_and_partial():
-    d = diagram_of((1, 2, 1))
+    d = Diagram((1, 2, 1))
     rec = extract_invariant(d, the_pair((1, 2, 1), 1))
     assert rec.polynomial.substitute({(1, 2): 1, (2, 4): 1, (1, 3): 0, (3, 4): 0}).constant_value() == 1
     assert rec.polynomial.substitute({v: 0 for v in rec.polynomial.variables()}).is_zero()
@@ -160,12 +160,12 @@ def test_vanishing_2112():
 
 
 def test_vanishing_212121_all_five():
-    for ct in component_tableaux((2, 1, 2, 1, 2, 1)):
+    for ct in component_tableaux(Diagram((2, 1, 2, 1, 2, 1))):
         assert vanishing_check(ct, excluded_roots(ct)).ok
 
 
 def test_vanishing_vacuous_without_pairs():
-    (ct,) = component_tableaux((3, 2, 1))
+    (ct,) = component_tableaux(Diagram((3, 2, 1)))
     assert vanishing_check(ct, excluded_roots(ct)).ok
 
 
@@ -185,7 +185,7 @@ def test_nonvanishing_witness_reported():
 
 def test_randomized_engine_agrees(restricted_route):
     for parts in [(2, 1, 1, 2), (1, 2, 1, 2), (2, 1, 1, 1, 2)]:
-        for ct in component_tableaux(parts):
+        for ct in component_tableaux(Diagram(parts)):
             roots = excluded_roots(ct)
             assert vanishing_check(ct, roots).ok
 
@@ -219,7 +219,7 @@ def test_weierstrass_values_1212():
 
 
 def test_weierstrass_121():
-    (ct,) = component_tableaux((1, 2, 1))
+    (ct,) = component_tableaux(Diagram((1, 2, 1)))
     report = weierstrass_check(ct)
     assert report.ok
     assert [r.variable for r in report.results] == [(2, 4)]
@@ -238,8 +238,8 @@ def test_exceptional_constituents_carry_exclusions(small_compositions):
     from nilfibre.roots import hatted_tableau, excluded_from_word
 
     for parts in small_compositions:
-        d = diagram_of(parts)
-        for ct in component_tableaux(parts):
+        d = Diagram(parts)
+        for ct in component_tableaux(d):
             for pair in neighbouring_pairs(d):
                 ht = hatted_tableau(ct, pair)
                 place = {}
@@ -260,8 +260,8 @@ def test_max_height_fast_path(small_compositions):
 
     checked = 0
     for parts in small_compositions:
-        d = diagram_of(parts)
-        for ct in component_tableaux(parts):
+        d = Diagram(parts)
+        for ct in component_tableaux(d):
             for pair in neighbouring_pairs(d):
                 if any(d.height(c) > pair.height for c in range(pair.left, pair.right + 1)):
                     continue
@@ -277,7 +277,7 @@ def test_max_height_fast_path(small_compositions):
 
 
 def full_span_pair(parts):
-    (pair,) = [p for p in neighbouring_pairs(diagram_of(parts)) if p.left == 0 and p.right == len(parts) - 1]
+    (pair,) = [p for p in neighbouring_pairs(Diagram(parts)) if p.left == 0 and p.right == len(parts) - 1]
     return pair
 
 
@@ -296,13 +296,13 @@ def test_truncated_extraction_matches_full_expansion():
         (parts, pair)
         for n in range(1, 10)
         for parts in compositions_of(n)
-        for pair in neighbouring_pairs(diagram_of(parts))
+        for pair in neighbouring_pairs(Diagram(parts))
     ]
     keys = [parts for n in range(1, 13) for parts in interval_keys(n)]
     assert len(keys) == 240
     cases += [(parts, full_span_pair(parts)) for parts in keys + [(5, 3, 5), (4, 1, 2, 2, 4)]]
     for parts, pair in cases:
-        d = diagram_of(parts)
+        d = Diagram(parts)
         fast = extract_invariant(d, pair)
         minor = symbolic_minor(d, pair)
         b, degree = boxes_below_band(d, pair), true_degree(d, pair)
@@ -319,7 +319,7 @@ def test_truncated_extraction_keeps_the_valuation_guard(monkeypatch):
     from nilfibre import invariants
 
     parts = (1, 2, 1)
-    d = diagram_of(parts)
+    d = Diagram(parts)
     pair = the_pair(parts, 1)
     monkeypatch.setattr(invariants, "boxes_below_band", lambda diagram, pair: boxes_below_band(diagram, pair) + 1)
     with pytest.raises(InternalConsistencyError, match="below valuation"):
@@ -333,11 +333,11 @@ def test_restricted_minor_with_every_cell_symbolic_is_the_generator(restricted_r
         (parts, pair)
         for n in range(1, 10)
         for parts in compositions_of(n)
-        for pair in neighbouring_pairs(diagram_of(parts))
+        for pair in neighbouring_pairs(Diagram(parts))
     ]
     cases += [(parts, full_span_pair(parts)) for parts in ((5, 3, 5), (4, 1, 2, 2, 4))]
     for parts, pair in cases:
-        d = diagram_of(parts)
+        d = Diagram(parts)
         restricted = restricted_generator(d, pair, d.nilradical_positions(), frozenset())
         assert restricted == extract_invariant(d, pair).polynomial, (parts, pair)
     assert len(cases) > 1000
@@ -375,15 +375,15 @@ def test_generator_sign_is_the_least_monomials_coefficient(monkeypatch):
     cases = [
         (parts, pair)
         for parts in [parts for n in range(1, 10) for parts in compositions_of(n)] + deep
-        for pair in neighbouring_pairs(diagram_of(parts))
+        for pair in neighbouring_pairs(Diagram(parts))
     ]
     for parts, pair in cases:
-        d = diagram_of(parts)
+        d = Diagram(parts)
         _, sign = _least_monomial(d, pair, frozenset())
         assert sign == _least_monomial_coefficient(d, pair), (parts, pair)
     assert len(cases) == 1270
     # a least monomial below the valuation power raises
-    d = diagram_of(deep[0])
+    d = Diagram(deep[0])
     pair = full_span_pair(deep[0])
     monkeypatch.setattr(invariants, "boxes_below_band", lambda diagram, pair: boxes_below_band(diagram, pair) + 1)
     with pytest.raises(InternalConsistencyError, match="below valuation"):
@@ -402,10 +402,10 @@ def test_matching_zero_test_matches_substitution(restricted_route):
     cases = [parts for n in range(1, 10) for parts in compositions_of(n)] + [(5, 3, 5), (4, 1, 2, 2, 4)]
     outcomes = []
     for parts in cases:
-        d = diagram_of(parts)
+        d = Diagram(parts)
         pairs = neighbouring_pairs(d)
         chains = {pair: chain_support(d, pair) for pair in pairs}
-        for ct in component_tableaux(parts):
+        for ct in component_tableaux(d):
             roots = excluded_roots(ct)
             for pair in pairs:
                 specific = trail_exclusions(roots, ct.trail(pair))
@@ -480,8 +480,8 @@ def test_randomized_zero_matches_the_trial_loop():
     rng = Random(3)
     outcomes = []
     for parts in cases:
-        d = diagram_of(parts)
-        for ct in component_tableaux(parts):
+        d = Diagram(parts)
+        for ct in component_tableaux(d):
             roots = excluded_roots(ct)
             for pair in neighbouring_pairs(d):
                 for zeroed in (roots.excluded, trail_exclusions(roots, ct.trail(pair)), frozenset()):
@@ -506,7 +506,7 @@ def test_restricted_route_reports_match_the_expanded_route(monkeypatch):
     checks = ("vanishing", "weierstrass", "injectivity")
     for n in range(1, 10):
         for parts in compositions_of(n):
-            diagram = diagram_of(parts)
+            diagram = Diagram(parts)
             expanded = _without_modes(verify_composition(diagram, checks, 0))
             with monkeypatch.context() as patch:
                 patch.setattr(invariants, "SYMBOLIC_MAX_N", 0)
@@ -525,15 +525,15 @@ def test_no_generator_past_the_bound_is_expanded(monkeypatch, fresh_memos, parts
         return extract(diagram, pair)
 
     monkeypatch.setattr(invariants, "extract_invariant", counting)
-    verify_composition(diagram_of(parts))
-    inner = [p for p in neighbouring_pairs(diagram_of(parts)) if p != full_span_pair(parts)]
+    verify_composition(Diagram(parts))
+    inner = [p for p in neighbouring_pairs(Diagram(parts)) if p != full_span_pair(parts)]
     # one extraction per interval key of an inner pair
     assert len(extracted) == len({parts[p.left : p.right + 1] for p in inner})
     assert all(size <= SYMBOLIC_MAX_N for size in extracted)
     extracted.clear()
     fresh_memos()
     monkeypatch.setattr(invariants, "SYMBOLIC_MAX_N", 0)
-    verify_composition(diagram_of(parts), ("weierstrass", "injectivity"))
+    verify_composition(Diagram(parts), ("weierstrass", "injectivity"))
     assert extracted == []
 
 
@@ -555,10 +555,10 @@ def test_interval_generator_shifts_to_the_compositions_generator():
     checked = 0
     for n in range(1, 11):
         for parts in compositions_of(n):
-            d = diagram_of(parts)
+            d = Diagram(parts)
             for pair in neighbouring_pairs(d):
                 local, local_pair, offset = _interval_of(parts, pair)
-                shifted = extract_invariant(diagram_of(local), local_pair)
+                shifted = extract_invariant(Diagram(local), local_pair)
                 direct = extract_invariant(d, pair)
                 poly = Poly(
                     {tuple((i + offset, j + offset) for i, j in mono): c for mono, c in shifted.polynomial.terms.items()}
@@ -625,8 +625,8 @@ def test_memoized_zero_tests_and_restrictions_match_the_direct_route(monkeypatch
     checked = survivors = 0
     for bound, parts in [(bound, parts) for bound in (SYMBOLIC_MAX_N, 0) for parts in MEMO_CASES]:
         monkeypatch.setattr(invariants, "SYMBOLIC_MAX_N", bound)
-        d = diagram_of(parts)
-        for ct in component_tableaux(parts):
+        d = Diagram(parts)
+        for ct in component_tableaux(d):
             roots = excluded_roots(ct)
             for result in vanishing_check(ct, roots).results:
                 pair = result.pair
@@ -663,7 +663,7 @@ def test_each_zero_test_and_restriction_key_is_computed_once(monkeypatch, fresh_
     zero_keys, restriction_keys, unzeroed_keys = set(), set(), set()
     for n in range(1, 10):
         for parts in compositions_of(n):
-            d = diagram_of(parts)
+            d = Diagram(parts)
             variables = {}
             for pair in neighbouring_pairs(d):
                 key, _, offset = _interval_of(parts, pair)
@@ -671,7 +671,7 @@ def test_each_zero_test_and_restriction_key_is_computed_once(monkeypatch, fresh_
                 variables[pair] = (key, offset, cells)
                 if len(interval_entries(d, pair)) > bound:
                     unzeroed_keys.add((key, frozenset()))
-            for ct in component_tableaux(parts):
+            for ct in component_tableaux(d):
                 roots = excluded_roots(ct)
                 for pair, (key, offset, cells) in variables.items():
                     specific = trail_exclusions(roots, ct.trail(pair))
@@ -716,8 +716,8 @@ def test_verifying_every_composition_of_9_extracts_one_generator_per_interval_ke
     monkeypatch.setattr(invariants, "extract_invariant", counting)
     keys = set()
     for parts in compositions_of(9):
-        assert verify_composition(diagram_of(parts))["pass"], parts
-        keys |= {_interval_of(parts, pair)[0] for pair in neighbouring_pairs(diagram_of(parts))}
+        assert verify_composition(Diagram(parts))["pass"], parts
+        keys |= {_interval_of(parts, pair)[0] for pair in neighbouring_pairs(Diagram(parts))}
     assert len(extracted) == len(set(extracted)) == len(keys) == 46
     assert invariant_for.cache_info().currsize == 46
 
@@ -735,7 +735,7 @@ def test_vanishing_alone_expands_no_generator(monkeypatch, fresh_memos):
         return extract(diagram, pair)
 
     monkeypatch.setattr(invariants, "extract_invariant", counting)
-    cases = [diagram_of(parts) for n in range(1, 10) for parts in compositions_of(n)]
+    cases = [Diagram(parts) for n in range(1, 10) for parts in compositions_of(n)]
     alone = [verify_composition(d, ("vanishing",)) for d in cases]
     assert extracted == []
     for d, report in zip(cases, alone):
@@ -745,5 +745,5 @@ def test_vanishing_alone_expands_no_generator(monkeypatch, fresh_memos):
 
 @pytest.mark.parametrize("parts, modes", [((5, 3, 5), ["randomized"]), ((4, 1, 2, 2, 4), ["randomized", "symbolic"])])
 def test_past_bound_composition_passes(parts, modes):
-    report = verify_composition(diagram_of(parts))
+    report = verify_composition(Diagram(parts))
     assert report["pass"] and report["engineModes"] == modes

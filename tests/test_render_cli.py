@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from nilfibre.builder import component_tableaux
+from nilfibre.core import Diagram
 from nilfibre.cli import build_parser, main
 from nilfibre.render import render_component, render_matrix
 from nilfibre.roots import excluded_roots
@@ -78,7 +79,7 @@ def test_enumerate_json_schema(tmp_path):
 
 def test_matrix_renderer_labels():
     ct = next(
-        t for t in component_tableaux((2, 1, 1, 2)) if t.v_support == {(3, 4), (3, 6)}
+        t for t in component_tableaux(Diagram((2, 1, 1, 2))) if t.v_support == {(3, 4), (3, 6)}
     )
     art = render_matrix(ct, excluded_roots(ct))
     row3 = next(line for line in art.splitlines() if line.strip().startswith("3 "))
@@ -116,22 +117,21 @@ def test_usage_errors():
 @pytest.mark.parametrize("checks", ["vanishing,vanishing", "covering,dimension,covering"])
 def test_repeated_checks_are_rejected(tmp_path, checks):
     from nilfibre.conformance import verify_composition
-    from nilfibre.core import diagram_of
 
     out = tmp_path / "report"
     assert main(["verify", "--composition", "2,1,1,2", "--checks", checks, "--out", str(out)]) == 1
     assert not out.exists()
     with pytest.raises(ValueError, match="repeated"):
-        verify_composition(diagram_of((2, 1, 1, 2)), tuple(checks.split(",")))
+        verify_composition(Diagram((2, 1, 1, 2)), tuple(checks.split(",")))
 
 
 def test_unknown_checks_are_invalid_input():
     # one validator serves the CLI and the library
     from nilfibre.conformance import verify_composition
-    from nilfibre.core import InvalidInput, diagram_of
+    from nilfibre.core import InvalidInput
 
     with pytest.raises(InvalidInput, match="unknown checks"):
-        verify_composition(diagram_of((2, 1)), ("bogus",))
+        verify_composition(Diagram((2, 1)), ("bogus",))
 
 
 @pytest.mark.parametrize(
@@ -203,9 +203,19 @@ def test_negative_seed_is_written_as_given(tmp_path):
 
 @pytest.mark.parametrize("cpus, requested, expected", [(2, 64, 2), (2, 2, 2), (4, 1, 1), (None, 8, 1)])
 def test_threads_clamped_to_cpu_count(monkeypatch, cpus, requested, expected):
+    # without an affinity mask to read, the clamp falls back to cpu_count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     args = build_parser().parse_args(["sweep", "--n", "3", "--threads", str(requested)])
     assert args.threads == expected
+
+
+def test_threads_clamped_to_the_affinity_mask(monkeypatch):
+    # 8 CPUs on the machine, 2 that this process may run on
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    args = build_parser().parse_args(["sweep", "--n", "3", "--threads", "8"])
+    assert args.threads == 2
 
 
 def test_reports_byte_identical(tmp_path):
@@ -264,7 +274,7 @@ def poisoned_excluded_roots(monkeypatch):
 
     from nilfibre import cli
 
-    last = len(component_tableaux((2, 1, 2, 1, 2, 1, 2, 1)))
+    last = len(component_tableaux(Diagram((2, 1, 2, 1, 2, 1, 2, 1))))
     calls = []
 
     def poisoned(ct):
@@ -375,14 +385,22 @@ def test_sweep_holds_one_report_at_a_time(tmp_path, monkeypatch):
     assert max(live_at_call) <= 1
 
 
-def test_sweep_keeps_a_bounded_diagram_cache(tmp_path):
-    from nilfibre.core import _diagram_cached
+def test_sweep_builds_each_diagram_once(tmp_path, monkeypatch, fresh_memos):
+    from nilfibre import invariants
 
-    _diagram_cached.cache_clear()
+    built = []
+    fill = Diagram.__post_init__
+
+    def counted(diagram):
+        built.append(diagram.parts)
+        fill(diagram)
+
+    monkeypatch.setattr(Diagram, "__post_init__", counted)
     assert main(["sweep", "--n", "8", "--checks", "all", "--out", str(tmp_path / "out")]) == 0
-    info = _diagram_cached.cache_info()
-    assert info.currsize <= info.maxsize == 16
-    assert info.misses == 255  # each composition's diagram is still built once
+    # one diagram per composition, and one per generator extracted
+    assert len(built) == 255 + invariants.invariant_for.cache_info().currsize
+    d = Diagram((2, 1, 1, 2))
+    assert all(ct.diagram is d for ct in component_tableaux(d))
 
 
 def test_sweep_rejects_a_file_as_out_before_verifying(tmp_path, monkeypatch):
@@ -568,7 +586,7 @@ def test_invariant_disk_cache(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("COMPONENT_TABLEAUX_CACHE", str(cache))
     invariants.invariant_for.cache_clear()
-    ct = component_tableaux((2, 1, 1, 2))[0]
+    ct = component_tableaux(Diagram((2, 1, 1, 2)))[0]
     from nilfibre.core import neighbouring_pairs
 
     pair = neighbouring_pairs(ct.diagram)[0]
@@ -642,7 +660,7 @@ def test_invariant_disk_cache_rewrites_corrupt_entries(tmp_path, monkeypatch, co
     monkeypatch.setenv("COMPONENT_TABLEAUX_CACHE", str(cache))
     invariants.invariant_for.cache_clear()
     parts = (2, 1, 1, 2)
-    pair = neighbouring_pairs(component_tableaux(parts)[0].diagram)[0]
+    pair = neighbouring_pairs(component_tableaux(Diagram(parts))[0].diagram)[0]
     expected = invariants.invariant_for(parts, pair)
     (entry,) = cache.iterdir()
     entry.write_text(content)
@@ -656,7 +674,7 @@ def test_invariant_disk_cache_rewrites_corrupt_entries(tmp_path, monkeypatch, co
 def test_every_generator_reads_back_from_the_disk_cache(tmp_path, monkeypatch):
     from nilfibre import invariants
     from nilfibre.conformance import compositions_of
-    from nilfibre.core import diagram_of, neighbouring_pairs
+    from nilfibre.core import neighbouring_pairs
 
     cache = tmp_path / "cache"
     monkeypatch.setenv("COMPONENT_TABLEAUX_CACHE", str(cache))
@@ -664,7 +682,7 @@ def test_every_generator_reads_back_from_the_disk_cache(tmp_path, monkeypatch):
         (parts, pair)
         for n in range(1, 9)
         for parts in compositions_of(n)
-        for pair in neighbouring_pairs(diagram_of(parts))
+        for pair in neighbouring_pairs(Diagram(parts))
     ]
 
     def refuse(diagram, pair):

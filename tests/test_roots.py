@@ -7,8 +7,8 @@ from nilfibre.builder import component_tableaux
 from nilfibre.conformance import compositions_of, verify_composition
 from nilfibre.core import (
     ConstructionViolation,
+    Diagram,
     InvalidInput,
-    diagram_of,
     neighbouring_pairs,
 )
 from nilfibre.roots import (
@@ -28,19 +28,19 @@ compositions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple)
 
 
 def by_stars(parts, stars):
-    matches = [ct for ct in component_tableaux(parts) if ct.v_support == frozenset(stars)]
+    matches = [ct for ct in component_tableaux(Diagram(parts)) if ct.v_support == frozenset(stars)]
     assert len(matches) == 1
     return matches[0]
 
 
 def pair_of(parts, height, index=0):
-    d = diagram_of(parts)
+    d = Diagram(parts)
     return [p for p in neighbouring_pairs(d) if p.height == height][index]
 
 
 def test_word_form_base_tableaux():
-    assert word_form(diagram_of((1, 2, 1)).columns) == (1, 3, 2, 4)
-    assert word_form(diagram_of((2, 1, 1, 2)).columns) == (2, 1, 3, 4, 6, 5)
+    assert word_form(Diagram((1, 2, 1)).columns) == (1, 3, 2, 4)
+    assert word_form(Diagram((2, 1, 1, 2)).columns) == (2, 1, 3, 4, 6, 5)
 
 
 def test_word_form_rejects_duplicates():
@@ -49,25 +49,25 @@ def test_word_form_rejects_duplicates():
 
 
 def test_word_form_shifted_2112():
-    d = diagram_of((2, 1, 1, 2))
+    d = Diagram((2, 1, 1, 2))
     assert shifted_tableau(d, 3, (4,)).word() == (2, 1, 4, 3, 6, 5)
     assert shifted_tableau(d, 3, (6,)).word() == (2, 1, 6, 3, 4, 5)
 
 
 def test_excluded_from_word_2112():
-    d = diagram_of((2, 1, 1, 2))
+    d = Diagram((2, 1, 1, 2))
     assert excluded_from_word((2, 1, 4, 3, 6, 5), d) == {(3, 4)}
     assert excluded_from_word((2, 1, 6, 3, 4, 5), d) == {(3, 6), (4, 6)}
 
 
 def test_excluded_from_identity_word():
-    d = diagram_of((2, 1, 1, 2))
+    d = Diagram((2, 1, 1, 2))
     assert excluded_from_word(tuple(range(1, 7)), d) == frozenset()
 
 
 def test_shifted_tableau_122132():
     # generator (8, {11}) of (1,2,2,1,3,2): 11 below 8, 9 pushed under 6
-    d = diagram_of((1, 2, 2, 1, 3, 2))
+    d = Diagram((1, 2, 2, 1, 3, 2))
     sh = shifted_tableau(d, 8, (11,))
     assert sh.columns == ((1,), (2, 3), (4, 5, 9), (6,), (7, 8, 11), (10,))
     assert sh.displaced == (9,)
@@ -81,14 +81,14 @@ def test_shifted_tableau_122132():
 
 def test_shifted_tableau_lowest_entry_no_secondary():
     # 3 is the unique lowest entry of its column in (2,1,1,2)
-    d = diagram_of((2, 1, 1, 2))
+    d = Diagram((2, 1, 1, 2))
     sh = shifted_tableau(d, 3, (4,))
     assert sh.displaced == ()
 
 
 def test_shifted_secondary_1212():
     # (1,2,1,2), generator (2,{4}) adds the secondary exclusion (1,3)
-    d = diagram_of((1, 2, 1, 2))
+    d = Diagram((1, 2, 1, 2))
     sh = shifted_tableau(d, 2, (4,))
     excl = excluded_from_word(sh.word(), d)
     assert (1, 3) in excl
@@ -103,7 +103,7 @@ def test_excluded_roots_2112_canonical():
 
 
 def test_excluded_roots_empty_without_pairs():
-    (ct,) = component_tableaux((3, 2, 1))
+    (ct,) = component_tableaux(Diagram((3, 2, 1)))
     roots = excluded_roots(ct)
     assert roots.excluded == frozenset()
     assert roots.u_support == ct.diagram.nilradical_positions()
@@ -111,7 +111,7 @@ def test_excluded_roots_empty_without_pairs():
 
 def test_star_in_excluded_one_not(small_compositions):
     for parts in small_compositions:
-        for ct in component_tableaux(parts):
+        for ct in component_tableaux(Diagram(parts)):
             roots = excluded_roots(ct)
             assert ct.v_support <= roots.excluded, parts
             assert not (ct.e_support & roots.excluded), parts
@@ -119,14 +119,14 @@ def test_star_in_excluded_one_not(small_compositions):
 
 def test_support_is_bracket_closed(small_compositions):
     for parts in small_compositions:
-        for ct in component_tableaux(parts):
+        for ct in component_tableaux(Diagram(parts)):
             roots = excluded_roots(ct)
             assert not bracket_closure_violations(roots.u_support), parts
 
 
 def test_support_levi_lowering_stable(small_compositions):
     for parts in small_compositions:
-        for ct in component_tableaux(parts):
+        for ct in component_tableaux(Diagram(parts)):
             roots = excluded_roots(ct)
             assert not levi_lowering_violations(ct.diagram, roots.u_support), parts
 
@@ -145,7 +145,7 @@ def test_penetration_2121():
 
 def test_penetration_212121():
     pair = pair_of((2, 1, 2, 1, 2, 1), 1)  # (C2, C4)
-    for ct in component_tableaux((2, 1, 2, 1, 2, 1)):
+    for ct in component_tableaux(Diagram((2, 1, 2, 1, 2, 1))):
         last = ct.trail(pair)[-1]
         if last.entry == 4:
             assert last.stage + 1 == 2
@@ -158,7 +158,7 @@ def test_penetration_halting_excludes_later_steps():
     # from lowering 10 below 12
     parts = (3, 2, 1, 3, 2, 1)
     pair = pair_of(parts, 2)
-    ct = next(t for t in component_tableaux(parts) if t.pair_entry()[pair] == 5)
+    ct = next(t for t in component_tableaux(Diagram(parts)) if t.pair_entry()[pair] == 5)
     roots = excluded_roots(ct)
     specific = trail_exclusions(roots, ct.trail(pair))
     assert specific == {(4, 8), (4, 9), (5, 8), (5, 9), (6, 8), (6, 9)}
@@ -170,7 +170,7 @@ def test_trail_exclusions_match_rederived_steps():
     # the per-move exclusions of the tableau, read for a trail's steps, equal
     # the exclusions derived afresh from those steps
     for parts in (p for n in range(1, 10) for p in compositions_of(n)):
-        for ct in component_tableaux(parts):
+        for ct in component_tableaux(Diagram(parts)):
             roots = excluded_roots(ct)
             for pair in neighbouring_pairs(ct.diagram):
                 trail = ct.trail(pair)
@@ -186,7 +186,7 @@ def test_trail_exclusions_match_rederived_steps():
 
 def test_exclusions_derived_once_per_move(monkeypatch):
     parts = (2, 1, 2, 1, 2, 1)
-    moves = sum(len(ct.moves) for ct in component_tableaux(parts))
+    moves = sum(len(ct.moves) for ct in component_tableaux(Diagram(parts)))
     original = roots_module._generator_exclusions
     calls = []
 
@@ -195,14 +195,14 @@ def test_exclusions_derived_once_per_move(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(roots_module, "_generator_exclusions", counted)
-    report = verify_composition(diagram_of(parts))
+    report = verify_composition(Diagram(parts))
     assert report["pass"]
     assert len(calls) == moves
 
 
 def test_specific_set_within_global(small_compositions):
     for parts in small_compositions:
-        for ct in component_tableaux(parts):
+        for ct in component_tableaux(Diagram(parts)):
             roots = excluded_roots(ct)
             for pair in neighbouring_pairs(ct.diagram):
                 assert trail_exclusions(roots, ct.trail(pair)) <= roots.excluded
@@ -231,7 +231,7 @@ def test_hatted_2112_stacking_order():
 def test_hatted_exclusions_union_of_steps(small_compositions):
     # the amalgamated tableau carries exactly the union of the step exclusions
     for parts in small_compositions:
-        for ct in component_tableaux(parts):
+        for ct in component_tableaux(Diagram(parts)):
             roots = excluded_roots(ct)
             for pair in neighbouring_pairs(ct.diagram):
                 specific = trail_exclusions(roots, ct.trail(pair))
@@ -245,7 +245,7 @@ def test_virtual_degree_drop(small_compositions):
     from nilfibre.core import true_degree
 
     for parts in small_compositions:
-        for ct in component_tableaux(parts):
+        for ct in component_tableaux(Diagram(parts)):
             for pair in neighbouring_pairs(ct.diagram):
                 ht = hatted_tableau(ct, pair)
                 assert ht.virtual_degree == true_degree(ct.diagram, pair) - 1
@@ -265,7 +265,7 @@ def test_special_star_line_1212():
 
 def test_special_star_lines_distinct(small_compositions):
     for parts in small_compositions:
-        for ct in component_tableaux(parts):
+        for ct in component_tableaux(Diagram(parts)):
             lines = [special_star_line(ct, p) for p in neighbouring_pairs(ct.diagram)]
             assert len(set(lines)) == len(lines), parts
             assert set(lines) <= ct.v_support, parts
@@ -280,7 +280,7 @@ def test_21112_stars_in_one_row():
 
 
 def test_shifted_rejects_bad_jlist():
-    d = diagram_of((2, 1, 1, 2))
+    d = Diagram((2, 1, 1, 2))
     with pytest.raises(ConstructionViolation):
         shifted_tableau(d, 3, (5,))  # 5 is not the bottom of its column
 
@@ -288,8 +288,8 @@ def test_shifted_rejects_bad_jlist():
 @given(compositions)
 @settings(max_examples=30, deadline=None)
 def test_excluded_sets_inside_nilradical(parts):
-    d = diagram_of(parts)
-    for ct in component_tableaux(parts):
+    d = Diagram(parts)
+    for ct in component_tableaux(d):
         roots = excluded_roots(ct)
         assert roots.excluded <= d.nilradical_positions()
         for gen in roots.by_generator:
