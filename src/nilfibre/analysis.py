@@ -61,6 +61,8 @@ def jordan_type(matrix: list[list[int]]) -> tuple[int, ...]:
     span that of X^(k+1), so no power is formed: each rank after rank(X) is
     the size of a row basis of the previous basis times X."""
     n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise InvalidInput("matrix is not square")
     for i in range(n):
         for j in range(i + 1):
             if matrix[i][j] != 0:

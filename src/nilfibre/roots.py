@@ -1,13 +1,15 @@
 """Excluded roots of a component tableau, via shifted tableaux and word forms.
 
-Each starred line group (i, j-list) rewrites the diagram: the partial column
-j-list is placed directly below i, and the part of i's column hanging below i
-is displaced leftward, partial column by partial column, skipping columns
-shorter than i's row, until the first column whose height equals that row.
-Reading the rewritten columns bottom to top, left to right, gives a
-permutation word; a nilradical position (i', j') is excluded when i' occurs
-after j' in that word.  Exclusions whose larger entry lies in the j-list are
-primary, the rest secondary.
+Each starred line group (i, j-list) is a tableau's ``Move`` (its entry and
+star targets), and rewrites the diagram: the partial column j-list is placed
+directly below i, and the part of i's column hanging below i is displaced
+leftward, partial column by partial column, skipping columns shorter than
+i's row, until the first column whose height equals that row.
+``shifted_tableau`` returns the rewritten columns and the displaced entries.
+Reading the columns bottom to top, left to right, gives a permutation word;
+a nilradical position (i', j') is excluded when i' occurs after j' in that
+word.  Exclusions whose larger entry lies in the j-list are primary, the
+rest secondary; each move's record is keyed by the move itself.
 
 The penetrating trail of a neighbouring pair, fixed when its tableau is built
 (``ComponentTableau.trail``), is the consuming entry's moves up to and
@@ -30,7 +32,7 @@ from .core import (
     interval_entries,
     true_degree,
 )
-from .builder import ComponentTableau, Move
+from .builder import Columns, ComponentTableau, Move
 
 
 def word_form(columns) -> tuple[int, ...]:
@@ -49,29 +51,13 @@ def excluded_from_word(word: tuple[int, ...], diagram: Diagram) -> frozenset[Pos
     Pairs whose entries share a column of the diagram lie in the Levi factor
     and are dropped.
     """
-    index = {entry: k for k, entry in enumerate(word)}
-    out = set()
-    for j, pos_j in index.items():
-        col_j = diagram.column_of(j)
-        for i in range(1, j):
-            if index.get(i, -1) > pos_j and diagram.column_of(i) < col_j:
-                out.add((i, j))
-    return frozenset(out)
-
-
-@dataclass(frozen=True)
-class ShiftedTableau:
-    """Columns after placing a partial column below an entry, with the
-    leftward displacements that re-balancing forces."""
-
-    diagram: Diagram
-    entry: int
-    j_list: tuple[int, ...]
-    columns: tuple[tuple[int, ...], ...]
-    displaced: tuple[int, ...]  # entries moved by the secondary shifting
-
-    def word(self) -> tuple[int, ...]:
-        return word_form(self.columns)
+    column_of = diagram.column_of
+    return frozenset(
+        (i, j)
+        for k, j in enumerate(word)
+        for i in word[k + 1:]
+        if i < j and column_of(i) < column_of(j)
+    )
 
 
 def _place_below(diagram: Diagram, cols: list[list[int]], entry: int, partial: list[int]):
@@ -105,8 +91,9 @@ def _place_below(diagram: Diagram, cols: list[list[int]], entry: int, partial: l
     return h, g, tuple(displaced)
 
 
-def shifted_tableau(diagram: Diagram, entry: int, j_list: tuple[int, ...]) -> ShiftedTableau:
-    """The rewritten diagram for one starred group (entry, j-list)."""
+def shifted_tableau(diagram: Diagram, entry: int, j_list: tuple[int, ...]) -> tuple[Columns, tuple[int, ...]]:
+    """The rewritten columns for one starred group (entry, j-list), and the
+    entries the secondary shifting displaced."""
     if not j_list:
         raise InvalidInput("empty j-list")
     cols = [list(col) for col in diagram.columns]
@@ -117,14 +104,12 @@ def shifted_tableau(diagram: Diagram, entry: int, j_list: tuple[int, ...]) -> Sh
         )
     del cols[source][-len(j_list):]
     _, _, displaced = _place_below(diagram, cols, entry, list(j_list))
-    return ShiftedTableau(diagram, entry, tuple(j_list), tuple(tuple(c) for c in cols), displaced)
+    return tuple(tuple(c) for c in cols), displaced
 
 
 @dataclass(frozen=True)
 class GeneratorExclusions:
-    entry: int
-    j_list: tuple[int, ...]
-    target_col: int
+    move: Move
     primary: frozenset[Pos]
     secondary: frozenset[Pos]
 
@@ -135,7 +120,7 @@ class GeneratorExclusions:
 
 @dataclass(frozen=True)
 class ExcludedRootSet:
-    by_generator: tuple[GeneratorExclusions, ...]
+    by_generator: tuple[GeneratorExclusions, ...]  # one per move, in move order
     excluded: frozenset[Pos]  # union over generators
     u_support: frozenset[Pos]  # nilradical minus excluded
 
@@ -143,7 +128,7 @@ class ExcludedRootSet:
         return {
             "generators": [
                 {
-                    "generator": {"i": g.entry, "jList": list(g.j_list)},
+                    "generator": {"i": g.move.entry, "jList": list(g.move.star_targets)},
                     "excluded": [
                         {"i": i, "j": j, "kind": kind}
                         for kind, group in (("primary", g.primary), ("secondary", g.secondary))
@@ -157,27 +142,22 @@ class ExcludedRootSet:
         }
 
 
-def _generator_exclusions(diagram: Diagram, entry: int, j_list: tuple[int, ...], target_col: int) -> GeneratorExclusions:
-    shifted = shifted_tableau(diagram, entry, j_list)
-    excluded = excluded_from_word(shifted.word(), diagram)
-    j_set = set(j_list)
-    displaced = set(shifted.displaced)
-    primary = frozenset(p for p in excluded if p[1] in j_set)
+def _generator_exclusions(diagram: Diagram, move: Move) -> GeneratorExclusions:
+    columns, displaced = shifted_tableau(diagram, move.entry, move.star_targets)
+    excluded = excluded_from_word(word_form(columns), diagram)
+    primary = frozenset(p for p in excluded if p[1] in move.star_targets)
     secondary = excluded - primary
     stray = {p for p in secondary if p[1] not in displaced}
     if stray:
         raise InternalConsistencyError(f"secondary exclusions off the displaced entries: {stray}")
-    return GeneratorExclusions(entry, j_list, target_col, primary, secondary)
+    return GeneratorExclusions(move, primary, secondary)
 
 
 def excluded_roots(ct: ComponentTableau) -> ExcludedRootSet:
-    """Union of the per-generator exclusions; the complement spans the
+    """Union of the per-move exclusions; the complement spans the
     subalgebra attached to the tableau."""
     diagram = ct.diagram
-    gens = tuple(
-        _generator_exclusions(diagram, m.entry, m.star_targets, m.target_col)
-        for m in ct.moves
-    )
+    gens = tuple(_generator_exclusions(diagram, m) for m in ct.moves)
     union = frozenset(p for g in gens for p in g.all)
     return ExcludedRootSet(gens, union, diagram.nilradical_positions() - union)
 
@@ -220,9 +200,8 @@ def levi_lowering_violations(diagram: Diagram, support: frozenset[Pos]) -> list[
 
 def trail_exclusions(roots: ExcludedRootSet, trail: tuple[Move, ...]) -> frozenset[Pos]:
     """Exclusions carried by the steps of a trail only, read from the
-    tableau's per-move exclusions (one per (entry, target column))."""
-    steps = {(m.entry, m.target_col) for m in trail}
-    return frozenset(p for g in roots.by_generator if (g.entry, g.target_col) in steps for p in g.all)
+    tableau's per-move exclusions."""
+    return frozenset(p for g in roots.by_generator if g.move in trail for p in g.all)
 
 
 def special_star_line(ct: ComponentTableau, pair: NeighbouringPair) -> Pos:

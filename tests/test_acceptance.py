@@ -67,11 +67,11 @@ def test_criterion_3_excluded_roots():
     )
     assert excluded_roots(canonical).excluded == {(3, 4), (3, 6), (4, 6)}
 
-    from nilfibre.roots import excluded_from_word, shifted_tableau
+    from nilfibre.roots import excluded_from_word, shifted_tableau, word_form
 
     d = Diagram((1, 2, 2, 1, 3, 2))
-    shifted = shifted_tableau(d, 8, (11,))
-    exclusions = excluded_from_word(shifted.word(), d)
+    columns, _ = shifted_tableau(d, 8, (11,))
+    exclusions = excluded_from_word(word_form(columns), d)
     assert {p for p in exclusions if p[1] == 9} == {(4, 9), (5, 9), (6, 9)}
     assert {p for p in exclusions if p[1] == 11} == {(7, 11), (8, 11)}
 

@@ -285,6 +285,9 @@ def test_jordan_rejects_non_strict():
         jordan_type([[1, 0], [0, 0]])
     with pytest.raises(InvalidInput):
         jordan_type([[0, 0], [1, 0]])
+    for ragged in ([[0, 1]], [[0, 1, 2], [0, 0]], [[0, 1], [0, 0], [0, 0]]):
+        with pytest.raises(InvalidInput):
+            jordan_type(ragged)
 
 
 def test_orbital_21112():

@@ -137,26 +137,26 @@ def test_canonical_tableau_121():
     assert ct.lines() == [("*", 2, 4), ("1", 1, 2), ("1", 3, 4)]
 
 
-def test_decorate_1212_upper():
+def test_1212_upper_tableau_ones():
     # the tableau lowering 2 twice carries stars 2->4, 2->6 and
     # ones 1->2, 3->4, 4->5
     ct = by_stars((1, 2, 1, 2), {(2, 4), (2, 6)})
     assert labelled(ct, ONE) == {(1, 2), (3, 4), (4, 5)}
 
 
-def test_decorate_1212_lower():
+def test_1212_lower_tableau_ones():
     ct = by_stars((1, 2, 1, 2), {(2, 4), (3, 4)})
     assert labelled(ct, ONE) == {(1, 2), (4, 5), (2, 6)}
 
 
-def test_decorate_11():
+def test_11_one_star_and_no_ones():
     # (1,1) has one neighbouring pair, hence one star and no ones
     (ct,) = component_tableaux(Diagram((1, 1)))
     assert ct.v_support == {(1, 2)}
     assert ct.e_support == set()
 
 
-def test_decorate_21121_bottom():
+def test_21121_bottom_move_descends_two_rows():
     # the tableau lowering 4 two rows below 6 carries stars 4->5 and 4->6
     ct = by_stars((2, 1, 1, 2, 1), {(3, 4), (4, 5), (4, 6)})
     move = next(m for m in ct.moves if m.entry == 4)

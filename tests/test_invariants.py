@@ -268,7 +268,7 @@ def test_max_height_fast_path(small_compositions):
                 primary = frozenset(
                     p
                     for m in ct.trail(pair)
-                    for p in _generator_exclusions(d, m.entry, m.star_targets, m.target_col).primary
+                    for p in _generator_exclusions(d, m).primary
                 )
                 reduced = invariant_for(parts, pair).polynomial.substitute({p: 0 for p in primary})
                 assert reduced.is_zero(), (parts, pair)

@@ -50,8 +50,8 @@ def test_word_form_rejects_duplicates():
 
 def test_word_form_shifted_2112():
     d = Diagram((2, 1, 1, 2))
-    assert shifted_tableau(d, 3, (4,)).word() == (2, 1, 4, 3, 6, 5)
-    assert shifted_tableau(d, 3, (6,)).word() == (2, 1, 6, 3, 4, 5)
+    assert word_form(shifted_tableau(d, 3, (4,))[0]) == (2, 1, 4, 3, 6, 5)
+    assert word_form(shifted_tableau(d, 3, (6,))[0]) == (2, 1, 6, 3, 4, 5)
 
 
 def test_excluded_from_word_2112():
@@ -68,10 +68,10 @@ def test_excluded_from_identity_word():
 def test_shifted_tableau_122132():
     # generator (8, {11}) of (1,2,2,1,3,2): 11 below 8, 9 pushed under 6
     d = Diagram((1, 2, 2, 1, 3, 2))
-    sh = shifted_tableau(d, 8, (11,))
-    assert sh.columns == ((1,), (2, 3), (4, 5, 9), (6,), (7, 8, 11), (10,))
-    assert sh.displaced == (9,)
-    excl = excluded_from_word(sh.word(), d)
+    columns, displaced = shifted_tableau(d, 8, (11,))
+    assert columns == ((1,), (2, 3), (4, 5, 9), (6,), (7, 8, 11), (10,))
+    assert displaced == (9,)
+    excl = excluded_from_word(word_form(columns), d)
     secondary = {p for p in excl if p[1] == 9}
     primary = {p for p in excl if p[1] == 11}
     assert secondary == {(4, 9), (5, 9), (6, 9)}
@@ -82,18 +82,18 @@ def test_shifted_tableau_122132():
 def test_shifted_tableau_lowest_entry_no_secondary():
     # 3 is the unique lowest entry of its column in (2,1,1,2)
     d = Diagram((2, 1, 1, 2))
-    sh = shifted_tableau(d, 3, (4,))
-    assert sh.displaced == ()
+    _, displaced = shifted_tableau(d, 3, (4,))
+    assert displaced == ()
 
 
 def test_shifted_secondary_1212():
     # (1,2,1,2), generator (2,{4}) adds the secondary exclusion (1,3)
     d = Diagram((1, 2, 1, 2))
-    sh = shifted_tableau(d, 2, (4,))
-    excl = excluded_from_word(sh.word(), d)
+    columns, _ = shifted_tableau(d, 2, (4,))
+    excl = excluded_from_word(word_form(columns), d)
     assert (1, 3) in excl
     gens = excluded_roots(by_stars((1, 2, 1, 2), {(2, 4), (3, 4)}))
-    by_entry = {(g.entry, g.j_list): g for g in gens.by_generator}
+    by_entry = {(g.move.entry, g.move.star_targets): g for g in gens.by_generator}
     assert by_entry[(2, (4,))].secondary == {(1, 3)}
 
 
@@ -177,9 +177,7 @@ def test_trail_exclusions_match_rederived_steps():
                 rederived = frozenset(
                     p
                     for m in trail
-                    for p in roots_module._generator_exclusions(
-                        ct.diagram, m.entry, m.star_targets, m.target_col
-                    ).all
+                    for p in roots_module._generator_exclusions(ct.diagram, m).all
                 )
                 assert trail_exclusions(roots, trail) == rederived, (parts, pair)
 
@@ -285,6 +283,53 @@ def test_shifted_rejects_bad_jlist():
         shifted_tableau(d, 3, (5,))  # 5 is not the bottom of its column
 
 
+def position_table_exclusions(word: tuple[int, ...], diagram: Diagram) -> frozenset:
+    """The scan ``excluded_from_word`` replaced, kept as its oracle: a table
+    of word positions, then every smaller entry i of each entry j."""
+    index = {entry: k for k, entry in enumerate(word)}
+    out = set()
+    for j, pos_j in index.items():
+        col_j = diagram.column_of(j)
+        for i in range(1, j):
+            if index.get(i, -1) > pos_j and diagram.column_of(i) < col_j:
+                out.add((i, j))
+    return frozenset(out)
+
+
+def tableau_words(diagram: Diagram):
+    """The shifted word of every move and the hatted word of every pair,
+    over every component tableau of ``diagram``."""
+    for ct in component_tableaux(diagram):
+        for m in ct.moves:
+            yield word_form(shifted_tableau(diagram, m.entry, m.star_targets)[0])
+        for pair in neighbouring_pairs(diagram):
+            yield hatted_tableau(ct, pair).word()
+
+
+def test_word_inversions_match_the_position_table_scan():
+    count = 0
+    for parts in (p for n in range(1, 10) for p in compositions_of(n)):
+        d = Diagram(parts)
+        for word in tableau_words(d):
+            assert excluded_from_word(word, d) == position_table_exclusions(word, d), (parts, word)
+            count += 1
+    assert count == 3362
+
+
+@st.composite
+def diagram_words(draw):
+    d = Diagram(draw(compositions))
+    order = draw(st.permutations(range(1, d.n + 1)))
+    return d, tuple(order[: draw(st.integers(0, d.n))])
+
+
+@given(diagram_words())
+@settings(max_examples=200, deadline=None)
+def test_word_inversions_of_drawn_orderings(drawn):
+    d, word = drawn
+    assert excluded_from_word(word, d) == position_table_exclusions(word, d)
+
+
 @given(compositions)
 @settings(max_examples=30, deadline=None)
 def test_excluded_sets_inside_nilradical(parts):
@@ -293,5 +338,5 @@ def test_excluded_sets_inside_nilradical(parts):
         roots = excluded_roots(ct)
         assert roots.excluded <= d.nilradical_positions()
         for gen in roots.by_generator:
-            assert gen.primary and all(p[1] in gen.j_list for p in gen.primary)
-            assert all(p[1] not in gen.j_list for p in gen.secondary)
+            assert gen.primary and all(p[1] in gen.move.star_targets for p in gen.primary)
+            assert all(p[1] not in gen.move.star_targets for p in gen.secondary)
