@@ -295,28 +295,26 @@ def injectivity_witness(
     batch: exchanged labels, clearance of the upper-right quadrant of the
     rightmost line, vanishing on the halted-trail exclusions and a section
     point where the generator survives.  The last two are read from the
-    lower tableau's vanishing result and the higher one's restriction."""
+    lower tableau's vanishing result and the higher one's section value."""
     if ct_a.diagram != ct_b.diagram:
         raise InvalidInput("tableaux of different compositions cannot be compared")
     diagram = ct_a.diagram
-    choices_a, choices_b = ct_a.pair_entry(), ct_b.pair_entry()
-    pairs = neighbouring_pairs(diagram)
-    idx = next((k for k, p in enumerate(pairs) if choices_a[p] != choices_b[p]), None)
+    entries_a, entries_b = ct_a.pair_entry, ct_b.pair_entry
+    idx = next((k for k, (x, y) in enumerate(zip(entries_a, entries_b)) if x != y), None)
     if idx is None:
         raise InvalidInput("tableaux share identical numerical data")
-    pair = pairs[idx]
+    pair = neighbouring_pairs(diagram)[idx]
     # The rightmost line comes from the tableau whose penetrating descent for
     # the differing pair lands in the further-right column, that of its
     # special star line.
     line_a, line_b = weierstrass_a.results[idx].line, weierstrass_b.results[idx].line
-    if (diagram.column_of(line_a[1]), choices_a[pair]) < (diagram.column_of(line_b[1]), choices_b[pair]):
+    if (diagram.column_of(line_a[1]), entries_a[idx]) < (diagram.column_of(line_b[1]), entries_b[idx]):
         ct_low, ct_high, line_low, line_rightmost = ct_a, ct_b, line_a, line_b
         vanishing, section = vanishing_a.results[idx], weierstrass_b.results[idx]
     else:
         ct_low, ct_high, line_low, line_rightmost = ct_b, ct_a, line_b, line_a
         vanishing, section = vanishing_b.results[idx], weierstrass_a.results[idx]
-    exchanged = (choices_a[pair], choices_b[pair])
-    exchanged = (min(exchanged), max(exchanged))
+    exchanged = tuple(sorted((entries_a[idx], entries_b[idx])))
 
     labels_exchanged = (
         line_low in ct_low.v_support
@@ -331,8 +329,6 @@ def injectivity_witness(
         k <= i_p and l >= j_p and (k, l) != (i_p, j_p) for k, l in excluded
     )
 
-    # the section point: the ones and the line, one of the kept stars, set to 1
-    value = section.rest.substitute({p: int(p == line_rightmost) for p in section.rest.variables()}).constant_value()
     return InjectivityWitness(
         pair,
         exchanged,
@@ -341,6 +337,6 @@ def injectivity_witness(
         labels_exchanged,
         quadrant_clear,
         vanishing.specific_ok,
-        value,
+        section.value,
     )
 

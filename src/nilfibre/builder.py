@@ -67,22 +67,25 @@ class ComponentTableau:
     """A component tableau, given by its limit tableau ``columns`` and the
     moves that built it.  The constructor derives the ``1``-positions
     ``e_support`` (the point e), the ``*``-positions ``v_support`` (spanning
-    the Weierstrass section) and each pair's trail, which take no part in
-    equality, hashing or repr.  It raises when a pair is consumed twice, a
-    trail starts outside its pair's rectangle or lands outside ]C, C'], an
-    entry repeats within a column, an entry finds no endpoint left, a
-    position leaves the nilradical or carries both labels, or the stars
-    miscount the pairs."""
+    the Weierstrass section), each pair's trail and ``pair_entry``, the
+    consuming entry of each pair in ``neighbouring_pairs`` order, which take
+    no part in equality, hashing or repr.  It raises when a pair is consumed
+    twice, a trail starts outside its pair's rectangle or lands outside
+    ]C, C'], an entry repeats within a column, an entry finds no endpoint
+    left, a position leaves the nilradical or carries both labels, the stars
+    miscount the pairs, or a pair is never consumed."""
 
     diagram: Diagram
     columns: Columns
     moves: tuple[Move, ...]
     e_support: frozenset[Pos] = field(init=False, repr=False, compare=False)
     v_support: frozenset[Pos] = field(init=False, repr=False, compare=False)
+    pair_entry: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _trail: dict[NeighbouringPair, tuple[Move, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         diagram, columns = self.diagram, self.columns
+        pairs = neighbouring_pairs(diagram)
         # A pair's trail is its consuming entry's moves up to and including
         # the consuming one: earlier moves left the entry above the pair.
         trails: dict[NeighbouringPair, tuple[Move, ...]] = {}
@@ -120,15 +123,15 @@ class ComponentTableau:
         e_support, v_support = frozenset(ones), frozenset(stars)
         if e_support & v_support:
             raise ConstructionViolation("a position carries both labels")
-        if len(v_support) != len(neighbouring_pairs(diagram)):
+        if len(v_support) != len(pairs):
             raise ConstructionViolation("star count differs from the neighbouring-pair count")
+        for pair in pairs:
+            if pair not in trails:
+                raise ConstructionViolation(f"pair {pair} is never consumed")
         object.__setattr__(self, "e_support", e_support)
         object.__setattr__(self, "v_support", v_support)
+        object.__setattr__(self, "pair_entry", tuple(trails[pair][-1].entry for pair in pairs))
         object.__setattr__(self, "_trail", trails)
-
-    def pair_entry(self) -> dict[NeighbouringPair, int]:
-        """Which entry consumed each neighbouring pair."""
-        return {pair: trail[-1].entry for pair, trail in self._trail.items()}
 
     def trail(self, pair: NeighbouringPair) -> tuple[Move, ...]:
         """The penetrating trail of ``pair``: the consuming entry's moves up

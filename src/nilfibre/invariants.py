@@ -580,7 +580,7 @@ class PairRestriction:
     pair: NeighbouringPair
     variable: Pos | None  # the surviving star coordinate
     ok: bool
-    rest: Poly
+    value: int  # at the section point: the ones and the line set to 1, the other stars to 0
     line: Pos  # the special star line the survivor must be
 
 
@@ -606,7 +606,7 @@ def weierstrass_restrict(ct: ComponentTableau, pair: NeighbouringPair) -> PairRe
         if len(vars_) == 1 and coeff in (1, -1):
             single = vars_[0]
     ok = single is not None and single == line and single in ct.v_support
-    return PairRestriction(pair, single, ok, rest, line)
+    return PairRestriction(pair, single, ok, rest.terms.get((), 0) + rest.terms.get((line,), 0), line)
 
 
 def weierstrass_check(ct: ComponentTableau) -> WeierstrassReport:

@@ -103,11 +103,11 @@ def test_criterion_4_jordan_types():
     dim_n = 21  # strictly upper triangular positions of sl(7)
     choices = {}
     for ct in component_tableaux(Diagram((2, 1, 1, 1, 2))):
-        pair = [p for p in neighbouring_pairs(ct.diagram) if p.height == 2][0]
+        k = [k for k, p in enumerate(neighbouring_pairs(ct.diagram)) if p.height == 2][0]
         mat = [[0] * 7 for _ in range(7)]
         for i, j in ct.e_support:
             mat[i - 1][j - 1] = 1
-        choices[ct.pair_entry()[pair]] = jordan_type(mat)
+        choices[ct.pair_entry[k]] = jordan_type(mat)
     assert choices[4] == (4, 2, 1)
     assert orbit_dimension(7, choices[4]) == 2 * (dim_n - 4)
     assert choices[3] == (3, 2, 2)

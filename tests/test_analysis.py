@@ -30,13 +30,9 @@ from nilfibre.invariants import (
 from nilfibre.linalg import exact_rank
 from nilfibre.roots import ExcludedRootSet, excluded_roots, special_star_line, trail_exclusions
 
+from tableau_helpers import by_stars
+
 compositions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple)
-
-
-def by_stars(parts, stars):
-    matches = [ct for ct in component_tableaux(Diagram(parts)) if ct.v_support == frozenset(stars)]
-    assert len(matches) == 1
-    return matches[0]
 
 
 def one_matrix(n, support):
@@ -268,7 +264,7 @@ def test_jordan_types_21112():
     ts = component_tableaux(Diagram((2, 1, 1, 1, 2)))
     types = {}
     for ct in ts:
-        entry = ct.pair_entry()[[p for p in neighbouring_pairs(ct.diagram) if p.height == 2][0]]
+        entry = ct.pair_entry[[k for k, p in enumerate(neighbouring_pairs(ct.diagram)) if p.height == 2][0]]
         types[entry] = jordan_type(one_matrix(7, ct.e_support))
     assert types[4] == (4, 2, 1)
     assert types[3] == (3, 2, 2)
@@ -347,10 +343,10 @@ def test_injectivity_2112():
 
 def test_injectivity_321321():
     parts = (3, 2, 1, 3, 2, 1)
-    pair = [p for p in neighbouring_pairs(Diagram(parts)) if p.height == 2][0]
+    k = [k for k, p in enumerate(neighbouring_pairs(Diagram(parts))) if p.height == 2][0]
     ts = component_tableaux(Diagram(parts))
-    c5 = next(t for t in ts if t.pair_entry()[pair] == 5)
-    c8 = next(t for t in ts if t.pair_entry()[pair] == 8)
+    c5 = next(t for t in ts if t.pair_entry[k] == 5)
+    c8 = next(t for t in ts if t.pair_entry[k] == 8)
     w = witness_of(c5, c8)
     assert w.ok
     assert w.line_rightmost == (8, 11)
@@ -358,10 +354,10 @@ def test_injectivity_321321():
 
 def test_injectivity_321312():
     parts = (3, 2, 1, 3, 1, 2)
-    pair = [p for p in neighbouring_pairs(Diagram(parts)) if p.height == 2][0]
+    k = [k for k, p in enumerate(neighbouring_pairs(Diagram(parts))) if p.height == 2][0]
     ts = component_tableaux(Diagram(parts))
-    c5 = next(t for t in ts if t.pair_entry()[pair] == 5)
-    c8 = next(t for t in ts if t.pair_entry()[pair] == 8)
+    c5 = next(t for t in ts if t.pair_entry[k] == 5)
+    c8 = next(t for t in ts if t.pair_entry[k] == 8)
     w = witness_of(c5, c8)
     assert w.ok
     assert w.line_rightmost == (8, 10)
@@ -388,9 +384,10 @@ def _recomputed_witness(a, b):
     cheap at these sizes; the value comes from the restricted minor past the
     bound."""
     d = a.diagram
-    pair = next(p for p in neighbouring_pairs(d) if a.pair_entry()[p] != b.pair_entry()[p])
+    k = next(k for k, (x, y) in enumerate(zip(a.pair_entry, b.pair_entry)) if x != y)
+    pair = neighbouring_pairs(d)[k]
     trail_a, trail_b = a.trail(pair), b.trail(pair)
-    if (trail_a[-1].target_col, a.pair_entry()[pair]) < (trail_b[-1].target_col, b.pair_entry()[pair]):
+    if (trail_a[-1].target_col, a.pair_entry[k]) < (trail_b[-1].target_col, b.pair_entry[k]):
         low, high, trail = a, b, trail_a
     else:
         low, high, trail = b, a, trail_b
@@ -401,7 +398,7 @@ def _recomputed_witness(a, b):
     value = restricted_generator(d, pair, frozenset(), high.e_support | {line_high}).constant_value()
     return analysis.InjectivityWitness(
         pair,
-        tuple(sorted((a.pair_entry()[pair], b.pair_entry()[pair]))),
+        tuple(sorted((a.pair_entry[k], b.pair_entry[k]))),
         line_low,
         line_high,
         line_low in low.v_support

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilfibre import builder
-from nilfibre.builder import ONE, ComponentTableau, component_tableaux, extend_all
+from nilfibre.builder import ONE, ComponentTableau, Move, component_tableaux, extend_all
 from nilfibre.conformance import compositions_of
-from nilfibre.core import ConstructionViolation, Diagram, neighbouring_pairs
+from nilfibre.core import ConstructionViolation, Diagram, NeighbouringPair, neighbouring_pairs
 from nilfibre.roots import excluded_roots
+
+from tableau_helpers import by_stars
 
 compositions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple)
 
@@ -23,12 +25,6 @@ def trail(ct, entry):
     """The boxes (column, row) of the limit tableau that hold ``entry``, left
     to right."""
     return tuple((c, r) for c, col in enumerate(ct.columns) for r, e in enumerate(col, start=1) if e == entry)
-
-
-def by_stars(parts, stars):
-    matches = [ct for ct in component_tableaux(Diagram(parts)) if ct.v_support == frozenset(stars)]
-    assert len(matches) == 1, f"no unique tableau of {parts} with stars {stars}"
-    return matches[0]
 
 
 @pytest.mark.parametrize(
@@ -173,14 +169,14 @@ def test_21121_star_sets():
     }
 
 
-def test_collapse_2112_canonical():
+def test_component_tableau_2112_canonical():
     # the 3-chooser lowers 3 twice, one row at a time
     ct = by_stars((2, 1, 1, 2), {(3, 4), (3, 6)})
     assert ct.e_support == {(1, 3), (2, 4), (4, 5)}
     assert [m.entry for m in ct.moves] == [3, 3]
 
 
-def test_collapse_identity_for_trivial():
+def test_component_tableau_identity_for_trivial():
     (ct,) = component_tableaux(Diagram((3, 2, 1)))
     assert ct.v_support == set()
     assert ct.e_support == {(1, 4), (2, 5), (4, 6)}
@@ -277,7 +273,7 @@ def test_distinct_data_distinct_tableaux(parts):
     tableaux = component_tableaux(Diagram(parts))
     seen = set()
     for ct in tableaux:
-        key = tuple(sorted((str(p), e) for p, e in ct.pair_entry().items()))
+        key = ct.pair_entry
         assert key not in seen
         seen.add(key)
     labels = {(frozenset(ct.e_support), frozenset(ct.v_support)) for ct in tableaux}
@@ -335,7 +331,7 @@ def with_star_targets(columns, moves, entry, targets):
         pytest.param(lambda cols, moves: (cols[:-1] + (cols[-1] + (2,),), moves), "repeats within a column", id="repeated-entry"),
     ],
 )
-def test_collapse_rejects_a_faulty_limit_tableau(faulty, match):
+def test_component_tableau_rejects_a_faulty_limit_tableau(faulty, match):
     diagram = Diagram((1, 2, 1))
     ((columns, moves),) = extend_all(diagram)
     with pytest.raises(ConstructionViolation, match=match):
@@ -343,16 +339,19 @@ def test_collapse_rejects_a_faulty_limit_tableau(faulty, match):
 
 
 def derived_separately(diagram, columns, moves):
-    """The reference route: the supports and each pair's consuming entry,
-    derived by a pass of their own over the limit tableau and its moves, the
-    stars from the moves and the ones from each entry's last copy."""
+    """The reference route: the supports and each pair's consuming entry in
+    ``neighbouring_pairs`` order, derived by a pass of their own over the
+    limit tableau and its moves, the stars from the moves and the ones from
+    each entry's last copy."""
     stars = frozenset((move.entry, j) for move in moves for j in move.star_targets)
     ones = set()
     for c in range(diagram.k - 1):
         stopped = [entry for entry in columns[c] if entry not in columns[c + 1]]
         ones |= set(zip(stopped, diagram.columns[c + 1]))
     consumed = {pair: move.entry for move in moves for pair in move.pairs}
-    return frozenset(ones), stars, consumed
+    pairs = neighbouring_pairs(diagram)
+    assert consumed.keys() == set(pairs)
+    return frozenset(ones), stars, tuple(consumed[pair] for pair in pairs)
 
 
 def test_constructor_derives_what_a_separate_pass_did():
@@ -362,7 +361,7 @@ def test_constructor_derives_what_a_separate_pass_did():
             diagram = Diagram(parts)
             for columns, moves in extend_all(diagram):
                 ct = ComponentTableau(diagram, columns, moves)
-                assert (ct.e_support, ct.v_support, ct.pair_entry()) == derived_separately(diagram, columns, moves), (parts, moves)
+                assert (ct.e_support, ct.v_support, ct.pair_entry) == derived_separately(diagram, columns, moves), (parts, moves)
                 checked += 1
     assert checked == 678
 
@@ -370,7 +369,7 @@ def test_constructor_derives_what_a_separate_pass_did():
 def scanned_trail(ct, pair):
     """The consuming entry's moves up to the first one whose stage reaches
     the pair's height, and the row below that stage."""
-    entry = ct.pair_entry()[pair]
+    entry = ct.pair_entry[neighbouring_pairs(ct.diagram).index(pair)]
     steps = []
     for move in ct.moves:
         if move.entry == entry:
@@ -401,6 +400,12 @@ def forged(parts, name, **changes):
     return lambda: ComponentTableau(ct.diagram, ct.columns, moves)
 
 
+def forged_unconsumed():
+    d = Diagram((2, 1, 1, 2))
+    ct = component_tableaux(d)[1]
+    return ComponentTableau(d, ct.columns, (Move(1, 3, 2, (NeighbouringPair(1, 2, 1),), (4, 6)),))
+
+
 @pytest.mark.parametrize(
     "build, match",
     [
@@ -408,6 +413,10 @@ def forged(parts, name, **changes):
         pytest.param(forged((2, 1, 1, 2), "(C2,C3;s=1)", entry=1), r"trail of 1 does not start inside the rectangle of \(C2,C3;s=1\)", id="outside-the-rectangle"),
         # the one move of (1,2,1) entering C1 instead of C2
         pytest.param(forged((1, 2, 1), "(C1,C3;s=1)", target_col=0), r"lands outside \]C,C'\] of \(C1,C3;s=1\)", id="landing-outside"),
+        # the limit columns of (2,1,1,2)'s second tableau with only the move
+        # of 3 into C3: its two supports are the real ones, but the height-2
+        # pair is left free
+        pytest.param(forged_unconsumed, r"pair \(C1,C4;s=2\) is never consumed", id="never-consumed"),
     ],
 )
 def test_tableau_rejects_a_forged_trail(build, match):
@@ -427,7 +436,6 @@ def test_tableaux_are_released_by_their_caller():
     # other test enumerates.
     ct = component_tableaux(Diagram((4, 1, 1, 4)))[0]
     excluded_roots(ct)
-    ct.pair_entry()
     ref = weakref.ref(ct)
     del ct
     gc.collect()

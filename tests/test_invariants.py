@@ -31,13 +31,9 @@ from nilfibre.invariants import (
 from nilfibre.poly import Poly
 from nilfibre.roots import excluded_roots, trail_exclusions
 
+from tableau_helpers import by_stars
+
 compositions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple)
-
-
-def by_stars(parts, stars):
-    matches = [ct for ct in component_tableaux(Diagram(parts)) if ct.v_support == frozenset(stars)]
-    assert len(matches) == 1
-    return matches[0]
 
 
 def the_pair(parts, height, index=0):
@@ -230,6 +226,29 @@ def test_weierstrass_21112_middle():
     report = weierstrass_check(ct)
     assert report.ok
     assert {r.variable for r in report.results} == {(3, 4), (4, 5), (3, 5)}
+
+
+def section_point_value(ct, r):
+    """The reference for a restriction's section value: the generator at the
+    point with the ones and the special star line set to 1 and every other
+    coordinate to 0."""
+    return restricted_generator(ct.diagram, r.pair, frozenset(), ct.e_support | {r.line}).constant_value()
+
+
+@pytest.mark.parametrize("bound", [SYMBOLIC_MAX_N, 0])
+def test_section_values_match_the_point_restriction(monkeypatch, bound):
+    # every (tableau, pair) of n <= 9, on both routes
+    from nilfibre import invariants
+
+    monkeypatch.setattr(invariants, "SYMBOLIC_MAX_N", bound)
+    checked = 0
+    for n in range(1, 10):
+        for parts in compositions_of(n):
+            for ct in component_tableaux(Diagram(parts)):
+                for r in weierstrass_check(ct).results:
+                    assert r.value == section_point_value(ct, r), (parts, r.pair)
+                    checked += 1
+    assert checked == 1719
 
 
 def test_exceptional_constituents_carry_exclusions(small_compositions):

@@ -24,13 +24,9 @@ from nilfibre.roots import (
     word_form,
 )
 
+from tableau_helpers import by_stars
+
 compositions = st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple)
-
-
-def by_stars(parts, stars):
-    matches = [ct for ct in component_tableaux(Diagram(parts)) if ct.v_support == frozenset(stars)]
-    assert len(matches) == 1
-    return matches[0]
 
 
 def pair_of(parts, height, index=0):
@@ -158,7 +154,7 @@ def test_penetration_halting_excludes_later_steps():
     # from lowering 10 below 12
     parts = (3, 2, 1, 3, 2, 1)
     pair = pair_of(parts, 2)
-    ct = next(t for t in component_tableaux(Diagram(parts)) if t.pair_entry()[pair] == 5)
+    ct = next(t for t in component_tableaux(Diagram(parts)) if t.pair_entry[neighbouring_pairs(t.diagram).index(pair)] == 5)
     roots = excluded_roots(ct)
     specific = trail_exclusions(roots, ct.trail(pair))
     assert specific == {(4, 8), (4, 9), (5, 8), (5, 9), (6, 8), (6, 9)}
